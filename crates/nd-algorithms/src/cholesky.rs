@@ -35,9 +35,9 @@
 //! * `SYG` / `SYP` — the group / pair arrows of SYRK (mirrors of `MMG` / `MMP`).
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
-use crate::exec::{run, ExecContext};
 use crate::frontend::{build_program, FireProgram, OpRecorder};
 use crate::mm::register_mm_fire_types;
+use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
@@ -437,7 +437,7 @@ pub fn cholesky_parallel(pool: &ThreadPool, a: &mut Matrix, mode: Mode, base: us
     assert_eq!(a.cols(), n);
     let built = build_cholesky(n, base, mode);
     let ctx = ExecContext::from_matrices(&mut [a]);
-    run(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
     a.zero_upper_triangle();
 }
 

@@ -27,7 +27,7 @@
 
 use crate::access::AccessDagBuilder;
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
-use crate::exec::{run, ExecContext};
+use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::FireTable;
 use nd_linalg::Matrix;
 use nd_runtime::ThreadPool;
@@ -124,7 +124,7 @@ pub fn apsp_parallel(pool: &ThreadPool, d: &mut Matrix, mode: Mode, base: usize)
     assert_eq!(d.cols(), n);
     let built = build_fw2d(n, base, mode);
     let ctx = ExecContext::from_matrices(&mut [d]);
-    run(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@
 
 use crate::access::AccessDagBuilder;
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
-use crate::exec::{run, ExecContext};
+use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::FireTable;
 use nd_core::work_span::WorkSpan;
 use nd_linalg::{Matrix, PivotStore};
@@ -190,7 +190,7 @@ pub fn lu_parallel(pool: &ThreadPool, a: &mut Matrix, mode: Mode, base: usize) -
     assert_eq!(a.cols(), n);
     let built = build_lu(n, base, mode);
     let ctx = ExecContext::with_pivots(&mut [a], n);
-    run(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
     // SAFETY: the execution above has completed; no writer holds the store.
     unsafe { assemble_global_pivots(&ctx.pivots, n, base) }
 }

@@ -37,9 +37,9 @@
 //! * `MMG` / `MMP` — the multiply types shared with [`crate::mm`].
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
-use crate::exec::{run, ExecContext};
 use crate::frontend::{build_program, FireProgram, OpRecorder};
 use crate::mm::{mm_composition, mm_size, mm_work, register_mm_fire_types, MmTask};
+use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
@@ -270,7 +270,7 @@ pub fn solve_parallel(pool: &ThreadPool, t: &Matrix, b: &mut Matrix, mode: Mode,
     let built = build_trs(n, base, mode);
     let mut tm = t.clone();
     let ctx = ExecContext::from_matrices(&mut [&mut tm, b]);
-    run(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Running built algorithms on the hierarchy-aware pool.
 //!
 //! [`run_anchored`] is the anchored counterpart of
-//! [`nd_algorithms::exec::run`]: it lowers a [`BuiltAlgorithm`] to the same
+//! [`nd_algorithms::driver::run_once`]: it lowers a [`BuiltAlgorithm`] to the same
 //! compiled, non-boxed graph form
 //! ([`CompiledAlgorithm`](nd_algorithms::exec::CompiledAlgorithm)), computes
 //! its [`Anchoring`] on the pool's machine tree, and executes it with every

@@ -3,7 +3,7 @@
 //! This crate is where the two halves of the paper finally meet.  `nd-sched`
 //! *simulates* the space-bounded scheduler of Section 4 on a PMH model;
 //! `nd-runtime` *really executes* algorithm DAGs, but with locality-blind flat
-//! work stealing.  `nd-exec` runs the same [`TaskGraph`](nd_runtime::TaskGraph)s
+//! work stealing.  `nd-exec` runs the same [`CompiledGraph`](nd_runtime::CompiledGraph)s
 //! on real threads **under the paper's anchoring discipline**:
 //!
 //! 1. the host's memory hierarchy is detected (or synthesized) by

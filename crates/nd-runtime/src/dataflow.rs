@@ -1,10 +1,11 @@
 //! The dataflow (ND) executor: compiled task graphs with dependency counters.
 //!
 //! An ND program's algorithm DAG — strands plus the dependency edges produced by the
-//! DAG Rewriting System — is materialised as a [`TaskGraph`] (a builder holding
-//! closures) or directly as a [`CompiledGraph`] (a reusable, allocation-free
-//! topology dispatched through a [`TaskTable`]).  Execution follows the dataflow
-//! discipline the paper advocates for inter-processor work: a task becomes *ready*
+//! DAG Rewriting System — is materialised as a [`CompiledGraph`] (built from an
+//! edge list by [`CompiledGraph::from_edges`], or from a DRS output by
+//! [`lower_dag`](crate::lower::lower_dag)) whose tasks dispatch by index through
+//! a [`TaskTable`].  Execution follows the dataflow discipline the paper
+//! advocates for inter-processor work: a task becomes *ready*
 //! when its last predecessor finishes, and ready tasks are pushed onto the finishing
 //! worker's own deque, so that chains of dependent tasks tend to stay on one core
 //! (the locality-preserving, depth-first intra-processor order) while idle workers
@@ -22,37 +23,41 @@
 //!    acquires no mutex per task**: a ready task is an `(Arc<run state>, task
 //!    index)` pair on the deque, its claim is the atomic decrement of its
 //!    dependency counter (counters guarantee exactly-once execution, so no
-//!    separate claim flag or `Mutex<Option<Box<…>>>` take is needed), and its
-//!    successors come straight from the CSR arena.
+//!    separate claim flag is needed), and its successors come straight from
+//!    the CSR arena.  [`CompiledGraph::execute`] runs a one-shot
+//!    [`PersistentRun`]; keep a `PersistentRun` to re-execute without even
+//!    that per-call run state.
 //! 3. **Reset.**  Each task restores its own live counter from the stored initial
 //!    count the moment it is claimed, so when `execute` returns the graph is
 //!    already reset and can be executed again without rebuilding.  An explicit
 //!    [`CompiledGraph::reset`] exists for recovery after a faulted run.
 //!
-//! The whole lifecycle in a dozen lines:
+//! The whole lifecycle in a few lines:
 //!
 //! ```
-//! use nd_runtime::dataflow::TaskGraph;
+//! use nd_runtime::dataflow::{CompiledGraph, TaskTable};
 //! use nd_runtime::ThreadPool;
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //! use std::sync::Arc;
 //!
-//! let pool = ThreadPool::new(2);
-//! let hits = Arc::new(AtomicUsize::new(0));
-//! let mut graph = TaskGraph::new();
-//! let (h1, h2) = (Arc::clone(&hits), Arc::clone(&hits));
-//! let a = graph.add_task(move || { h1.fetch_add(1, Ordering::SeqCst); });
-//! let b = graph.add_task(move || { h2.fetch_add(1, Ordering::SeqCst); });
-//! graph.add_dependency(a, b);
+//! // The per-task work, dispatched by index: here every task counts a hit.
+//! struct Hits(AtomicUsize);
+//! impl TaskTable for Hits {
+//!     fn run_task(&self, _task: u32) {
+//!         self.0.fetch_add(1, Ordering::SeqCst);
+//!     }
+//! }
 //!
-//! // Build once …
-//! let mut compiled = graph.compile();
+//! let pool = ThreadPool::new(2);
+//! let hits = Arc::new(Hits(AtomicUsize::new(0)));
+//! // Build once: two tasks, task 0 before task 1 …
+//! let graph = Arc::new(CompiledGraph::from_edges(2, &[(0, 1)], Vec::new()));
 //! // … execute any number of times: the graph auto-resets after every run.
 //! for round in 1..=3 {
-//!     let stats = compiled.execute(&pool).unwrap();
+//!     let stats = graph.execute(&pool, &hits).unwrap();
 //!     assert_eq!(stats.tasks, 2);
-//!     assert!(compiled.counters_are_reset());
-//!     assert_eq!(hits.load(Ordering::SeqCst), 2 * round);
+//!     assert!(graph.counters_are_reset());
+//!     assert_eq!(hits.0.load(Ordering::SeqCst), 2 * round);
 //! }
 //! ```
 //!
@@ -89,17 +94,17 @@ use crate::latch::CountLatch;
 use crate::pool::{GraphTask, JobUnit, ThreadPool, WorkerCtx};
 use nd_trace::{EventKind, TraceEvent, EXEC_FLAG_INLINE, NO_TASK};
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Records a run-boundary event ([`EventKind::RunBegin`] / [`EventKind::RunEnd`])
-/// from the submitting thread, into the pool's external ring.
+/// Records a run-level instant event from the submitting thread into the
+/// pool's external ring; `b` carries the run id ([`EventKind::RunBegin`] /
+/// [`EventKind::RunEnd`]) or the task count ([`EventKind::LatchReset`]).
 #[inline]
-fn trace_run_boundary(pool: &ThreadPool, kind: EventKind, run_id: u32) {
+fn trace_external(pool: &ThreadPool, kind: EventKind, b: u32) {
     let tracer = pool.tracer();
     let now = tracer.now_ns();
     tracer.record(
@@ -111,140 +116,13 @@ fn trace_run_boundary(pool: &ThreadPool, kind: EventKind, run_id: u32) {
             t0_ns: now,
             t1_ns: now,
             a: 0,
-            b: run_id,
+            b,
         },
     );
 }
 
-/// Identifier of a task in a [`TaskGraph`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TaskId(pub u32);
-
-struct TaskSpec {
-    closure: Box<dyn FnMut() + Send + 'static>,
-    succs: Vec<u32>,
-    preds: u32,
-}
-
-/// A task-graph builder: closures plus dependency edges.
-///
-/// `TaskGraph` is the convenient, closure-carrying front end.  Compile it once
-/// with [`TaskGraph::compile`] to get a [`ReusableGraph`] that can be executed
-/// any number of times, or hand it to [`execute_graph`] for the classic
-/// build-and-run-once flow.
-#[derive(Default)]
-pub struct TaskGraph {
-    tasks: Vec<TaskSpec>,
-    edges: usize,
-}
-
-impl TaskGraph {
-    /// An empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty graph with room for `n` tasks.
-    pub fn with_capacity(n: usize) -> Self {
-        TaskGraph {
-            tasks: Vec::with_capacity(n),
-            edges: 0,
-        }
-    }
-
-    /// Adds a task executing `f` and returns its id.
-    ///
-    /// The closure is `FnMut` so a compiled graph can be executed repeatedly;
-    /// within one execution it runs exactly once.
-    pub fn add_task(&mut self, f: impl FnMut() + Send + 'static) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
-        self.tasks.push(TaskSpec {
-            closure: Box::new(f),
-            succs: Vec::new(),
-            preds: 0,
-        });
-        id
-    }
-
-    /// Adds a no-op task (useful for barrier/join points) and returns its id.
-    pub fn add_empty_task(&mut self) -> TaskId {
-        self.add_task(|| {})
-    }
-
-    /// Declares that `to` cannot start before `from` has finished.
-    ///
-    /// # Panics
-    /// Panics on a self-dependency.
-    pub fn add_dependency(&mut self, from: TaskId, to: TaskId) {
-        assert_ne!(from, to, "a task cannot depend on itself");
-        self.tasks[from.0 as usize].succs.push(to.0);
-        self.tasks[to.0 as usize].preds += 1;
-        self.edges += 1;
-    }
-
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Number of dependency edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges
-    }
-
-    /// `true` if the dependency graph is acyclic (checked by Kahn's algorithm).
-    pub fn is_acyclic(&self) -> bool {
-        let n = self.tasks.len();
-        let mut indeg: Vec<u32> = self.tasks.iter().map(|t| t.preds).collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(i) = queue.pop() {
-            seen += 1;
-            for &s in &self.tasks[i].succs {
-                indeg[s as usize] -= 1;
-                if indeg[s as usize] == 0 {
-                    queue.push(s as usize);
-                }
-            }
-        }
-        seen == n
-    }
-
-    /// Compiles the graph into a reusable, allocation-free form.
-    ///
-    /// # Panics
-    /// Panics if the graph contains a dependency cycle.
-    pub fn compile(self) -> ReusableGraph {
-        self.compile_placed(Vec::new())
-    }
-
-    /// Compiles the graph with per-task placement constraints (see
-    /// [`Placement`]; an empty vector places every task anywhere).
-    ///
-    /// # Panics
-    /// Panics if the graph is cyclic, or if `placement` is non-empty and its
-    /// length differs from the task count.
-    pub fn compile_placed(self, placement: Vec<Placement>) -> ReusableGraph {
-        assert!(self.is_acyclic(), "task graph contains a dependency cycle");
-        let edges = self.edges;
-        let n = self.tasks.len();
-        let mut closures = Vec::with_capacity(n);
-        let mut succs = Vec::with_capacity(n);
-        let mut preds = Vec::with_capacity(n);
-        for t in self.tasks {
-            closures.push(ClosureCell(UnsafeCell::new(t.closure)));
-            succs.push(t.succs);
-            preds.push(t.preds);
-        }
-        let graph = CompiledGraph::from_parts(succs, preds, edges, placement);
-        ReusableGraph {
-            graph: Arc::new(graph),
-            table: Arc::new(ClosureTable { closures }),
-        }
-    }
-}
-
-/// Statistics of one graph execution.
+/// Statistics of one graph execution: the [`SteadyStats`] fields plus the
+/// per-worker task counts.
 #[derive(Clone, Debug)]
 pub struct ExecStats {
     /// Number of tasks executed.
@@ -258,16 +136,18 @@ pub struct ExecStats {
     pub steals: u64,
 }
 
-/// Where a task must run in a placed execution (see [`execute_graph_placed`]).
+/// Where a task must run in a placed execution (the `placement` vector of
+/// [`CompiledGraph::from_edges`]).
 ///
 /// `Placement::Anywhere` keeps the classic behaviour: ready tasks go onto the
 /// finishing worker's own deque.  `Placement::Group(g)` routes the task to the
 /// pool's queue group `g` — the runtime counterpart of *anchoring* a task to a
-/// cache subcluster.  Only group `g`'s workers poll that queue, but a task that
-/// lands on a group member's own deque can still be stolen by an out-of-group
-/// worker unless the pool's steal order stays within the group (see
-/// [`execute_graph_placed`]); such escapes are what the pool's cross-cluster
-/// steal counters measure.
+/// cache subcluster.  A grouped task is submitted to that group's injector
+/// when it becomes ready, or kept on the finishing worker's deque when that
+/// worker already belongs to the group.  Only group `g`'s workers poll the
+/// group queue, but a task on a member's own deque can still be stolen by an
+/// out-of-group worker unless the pool's steal order stays within the group;
+/// such escapes are what the pool's cross-cluster steal counters measure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Placement {
     /// No constraint: run wherever dataflow order takes it.
@@ -416,61 +296,50 @@ pub struct CompiledGraph {
 }
 
 impl CompiledGraph {
-    /// Builds a compiled graph from per-task successor lists and predecessor
-    /// counts (`preds[t]` must equal the number of times `t` appears in
-    /// `succs`).
-    fn from_parts(
-        succs: Vec<Vec<u32>>,
-        preds: Vec<u32>,
-        edges: usize,
-        placement: Vec<Placement>,
-    ) -> Self {
-        let n = succs.len();
+    /// Builds a compiled graph from an edge list: `(from, to)` means `to`
+    /// cannot start before `from` has finished.  `placement` is either empty
+    /// (every task may run anywhere) or one [`Placement`] per task.
+    ///
+    /// # Panics
+    /// Panics on self-dependencies, out-of-range task indices, dependency
+    /// cycles, or a placement length mismatch.
+    pub fn from_edges(task_count: usize, edges: &[(u32, u32)], placement: Vec<Placement>) -> Self {
+        let n = task_count;
         assert!(
             placement.is_empty() || placement.len() == n,
             "placement length {} does not match task count {}",
             placement.len(),
             n
         );
+        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut preds = vec![0u32; n];
+        for &(from, to) in edges {
+            assert_ne!(from, to, "a task cannot depend on itself");
+            assert!(
+                (from as usize) < n && (to as usize) < n,
+                "edge ({from}, {to}) out of range for {n} tasks"
+            );
+            succs[from as usize].push(to);
+            preds[to as usize] += 1;
+        }
         let mut succ_offsets = Vec::with_capacity(n + 1);
-        let mut succ_targets = Vec::with_capacity(edges);
+        let mut succ_targets = Vec::with_capacity(edges.len());
         succ_offsets.push(0u32);
         for s in &succs {
             succ_targets.extend_from_slice(s);
             succ_offsets.push(succ_targets.len() as u32);
         }
         let roots = (0..n as u32).filter(|&t| preds[t as usize] == 0).collect();
-        CompiledGraph {
+        let graph = CompiledGraph {
             succ_offsets,
             succ_targets,
             pending: preds.iter().map(|&p| AtomicU32::new(p)).collect(),
             initial_preds: preds,
             roots,
             placement,
-            edges,
+            edges: edges.len(),
             in_flight: AtomicBool::new(false),
-        }
-    }
-
-    /// Builds a compiled graph directly from an edge list, without going
-    /// through closure-carrying [`TaskGraph`] construction.
-    ///
-    /// # Panics
-    /// Panics on self-dependencies, out-of-range task indices, dependency
-    /// cycles, or a placement length mismatch.
-    pub fn from_edges(task_count: usize, edges: &[(u32, u32)], placement: Vec<Placement>) -> Self {
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); task_count];
-        let mut preds = vec![0u32; task_count];
-        for &(from, to) in edges {
-            assert_ne!(from, to, "a task cannot depend on itself");
-            assert!(
-                (from as usize) < task_count && (to as usize) < task_count,
-                "edge ({from}, {to}) out of range for {task_count} tasks"
-            );
-            succs[from as usize].push(to);
-            preds[to as usize] += 1;
-        }
-        let graph = CompiledGraph::from_parts(succs, preds, edges.len(), placement);
+        };
         assert!(graph.is_acyclic(), "task graph contains a dependency cycle");
         graph
     }
@@ -610,6 +479,9 @@ impl CompiledGraph {
     /// the budget's wall-clock deadline is cancelled at the next claim
     /// boundary and drains into [`RunError::DeadlineExceeded`].
     ///
+    /// A one-shot [`PersistentRun`]: the run state is built for this call,
+    /// executed once, and dropped.
+    ///
     /// # Panics
     /// Panics if another execution of this graph is still in flight.
     pub fn execute_with<T: TaskTable>(
@@ -618,60 +490,17 @@ impl CompiledGraph {
         table: &Arc<T>,
         budget: &RunBudget,
     ) -> Result<ExecStats, RunError> {
-        let n = self.task_count();
-        assert!(
-            !self.in_flight.swap(true, Ordering::Acquire),
-            "compiled graph is already executing"
-        );
-        debug_assert!(
-            self.counters_are_reset(),
-            "dependency counters not at their initial values — \
-             was a previous execution aborted without reset()?"
-        );
-        let steals_before = pool.steals();
-        let run = Arc::new(ActiveRun {
-            graph: Arc::clone(self),
-            table: Arc::clone(table),
-            latch: CountLatch::new(n),
-            per_worker: (0..pool.num_threads()).map(|_| AtomicU64::new(0)).collect(),
-            fault: FaultCell::new(),
-        });
-        run.fault.arm(budget);
-
-        let run_id = if pool.trace_enabled() {
-            let id = pool.tracer().next_run_id();
-            trace_run_boundary(pool, EventKind::RunBegin, id);
-            Some(id)
-        } else {
-            None
-        };
-        let start = Instant::now();
-        for &r in &self.roots {
-            let unit = JobUnit::Graph(Arc::clone(&run) as Arc<dyn GraphTask>, r);
-            match self.placement_of(r) {
-                Placement::Group(g) => pool.spawn_unit_to_group(g as usize, unit),
-                Placement::Anywhere => pool.spawn_unit(unit),
-            }
-        }
-        run.latch.wait();
-        let elapsed = start.elapsed();
-        self.in_flight.store(false, Ordering::Release);
-        if let Some(id) = run_id {
-            trace_run_boundary(pool, EventKind::RunEnd, id);
-        }
-        if let Some(err) = run.fault.take() {
-            return Err(err);
-        }
-
-        Ok(ExecStats {
-            tasks: n,
+        let run = PersistentRun::build(self, table, pool.num_threads(), false);
+        let SteadyStats {
+            tasks,
             elapsed,
-            tasks_per_worker: run
-                .per_worker
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            steals: pool.steals() - steals_before,
+            steals,
+        } = run.execute_with(pool, budget)?;
+        Ok(ExecStats {
+            tasks,
+            elapsed,
+            tasks_per_worker: run.tasks_per_worker(),
+            steals,
         })
     }
 }
@@ -692,12 +521,13 @@ pub struct SteadyStats {
 /// A compiled graph bound to its task table and run state **once**, so that
 /// re-execution is completely allocation-free.
 ///
-/// [`CompiledGraph::execute`] builds a fresh shared run state (one `Arc`, a
-/// per-worker counter vector, a latch) per call — cheap, but not *zero*.
-/// `PersistentRun` hoists that state out of the loop: the latch is re-armed
-/// and the counters zeroed in place before every run, ready tasks travel as
-/// `(Arc clone, index)` pairs through deques whose buffers persist at their
-/// high-water capacity, and the returned [`SteadyStats`] is `Copy`.  Combined
+/// This is the executor's one run body: [`CompiledGraph::execute`] builds a
+/// one-shot `PersistentRun` (one `Arc`, a per-worker counter vector, a latch)
+/// per call — cheap, but not *zero*.  Keeping the `PersistentRun` hoists that
+/// state out of the loop: the latch is re-armed and the counters zeroed in
+/// place before every run, ready tasks travel as `(Arc clone, index)` pairs
+/// through deques whose buffers persist at their high-water capacity, and the
+/// returned [`SteadyStats`] is `Copy`.  Combined
 /// with the per-worker packing scratch of
 /// [`with_pack_scratch`](crate::pool::with_pack_scratch) this is what makes
 /// steady-state re-execution of a compiled algorithm perform **zero heap
@@ -705,12 +535,24 @@ pub struct SteadyStats {
 /// counting-allocator test).
 pub struct PersistentRun<T: TaskTable> {
     run: Arc<ActiveRun<T>>,
+    /// `false` for the one-shot state behind [`CompiledGraph::execute_with`],
+    /// which is never re-armed and so records no `LatchReset` event.
+    reusable: bool,
 }
 
 impl<T: TaskTable> PersistentRun<T> {
     /// Binds `graph` and `table` into a reusable run state able to serve pools
     /// of up to `max_workers` threads.
     pub fn new(graph: &Arc<CompiledGraph>, table: &Arc<T>, max_workers: usize) -> Self {
+        Self::build(graph, table, max_workers, true)
+    }
+
+    fn build(
+        graph: &Arc<CompiledGraph>,
+        table: &Arc<T>,
+        max_workers: usize,
+        reusable: bool,
+    ) -> Self {
         PersistentRun {
             run: Arc::new(ActiveRun {
                 graph: Arc::clone(graph),
@@ -719,6 +561,7 @@ impl<T: TaskTable> PersistentRun<T> {
                 per_worker: (0..max_workers).map(|_| AtomicU64::new(0)).collect(),
                 fault: FaultCell::new(),
             }),
+            reusable,
         }
     }
 
@@ -759,39 +602,30 @@ impl<T: TaskTable> PersistentRun<T> {
             !g.in_flight.swap(true, Ordering::Acquire),
             "compiled graph is already executing"
         );
-        debug_assert!(g.counters_are_reset());
+        debug_assert!(
+            g.counters_are_reset(),
+            "dependency counters not at their initial values — \
+             was a previous execution aborted without reset()?"
+        );
         run.latch.reset(n);
         run.fault.arm(budget);
-        let run_id = if pool.trace_enabled() {
-            let tracer = pool.tracer();
-            let id = tracer.next_run_id();
-            let now = tracer.now_ns();
-            // The latch re-arm above is the persistent run's "recycle" moment;
+        let run_id = pool.trace_enabled().then(|| {
+            // The latch re-arm above is a reusable run's "recycle" moment;
             // record it so re-execution rounds are visible in the stream.
-            tracer.record(
-                tracer.external_ring(),
-                &TraceEvent {
-                    kind: EventKind::LatchReset,
-                    worker: tracer.external_ring() as u32,
-                    task: NO_TASK,
-                    t0_ns: now,
-                    t1_ns: now,
-                    a: 0,
-                    b: n as u32,
-                },
-            );
-            trace_run_boundary(pool, EventKind::RunBegin, id);
-            Some(id)
-        } else {
-            None
-        };
+            if self.reusable {
+                trace_external(pool, EventKind::LatchReset, n as u32);
+            }
+            let id = pool.tracer().next_run_id();
+            trace_external(pool, EventKind::RunBegin, id);
+            id
+        });
         for c in &run.per_worker {
             c.store(0, Ordering::Relaxed);
         }
         let steals_before = pool.steals();
         let start = Instant::now();
         for &r in &g.roots {
-            let unit = JobUnit::Graph(Arc::clone(&self.run) as Arc<dyn GraphTask>, r);
+            let unit = JobUnit::Graph(Arc::clone(run) as Arc<dyn GraphTask>, r);
             match g.placement_of(r) {
                 Placement::Group(grp) => pool.spawn_unit_to_group(grp as usize, unit),
                 Placement::Anywhere => pool.spawn_unit(unit),
@@ -801,7 +635,7 @@ impl<T: TaskTable> PersistentRun<T> {
         let elapsed = start.elapsed();
         g.in_flight.store(false, Ordering::Release);
         if let Some(id) = run_id {
-            trace_run_boundary(pool, EventKind::RunEnd, id);
+            trace_external(pool, EventKind::RunEnd, id);
         }
         if let Some(err) = run.fault.take() {
             return Err(err);
@@ -1014,92 +848,6 @@ impl<T: TaskTable> GraphTask for ActiveRun<T> {
                 None => return,
             }
         }
-    }
-}
-
-/// A boxed closure slot of a [`ReusableGraph`]'s task table.
-///
-/// `Sync` by assertion: the dependency counters guarantee each slot is
-/// accessed by exactly one worker per execution, and executions of the owning
-/// graph are serialised (`&mut self` on [`ReusableGraph::execute`] plus the
-/// compiled graph's in-flight guard).
-struct ClosureCell(UnsafeCell<Box<dyn FnMut() + Send + 'static>>);
-
-// SAFETY: see the type-level comment.
-unsafe impl Sync for ClosureCell {}
-
-struct ClosureTable {
-    closures: Vec<ClosureCell>,
-}
-
-impl TaskTable for ClosureTable {
-    #[inline]
-    fn run_task(&self, task: u32) {
-        // SAFETY: the executor calls run_task exactly once per task per
-        // execution (atomic counter claim), so no other reference to this
-        // slot exists while we hold it.
-        let f = unsafe { &mut *self.closures[task as usize].0.get() };
-        f();
-    }
-}
-
-/// A compiled, reusable task graph carrying boxed closures.
-///
-/// Built once from a [`TaskGraph`] via [`TaskGraph::compile`]; every call to
-/// [`ReusableGraph::execute`] re-runs the whole graph without rebuilding
-/// anything — construction cost is paid exactly once.
-pub struct ReusableGraph {
-    graph: Arc<CompiledGraph>,
-    table: Arc<ClosureTable>,
-}
-
-impl ReusableGraph {
-    /// Executes the graph, blocking until every task has run.  The graph is
-    /// left reset, ready for the next call.
-    ///
-    /// Takes `&mut self` so two executions of the same graph (which would run
-    /// the same `FnMut` closures concurrently) cannot overlap.
-    ///
-    /// # Errors
-    /// Returns the run's first [`RunError`] if a task panicked; the remaining
-    /// tasks are drained without running and the graph is left reset.
-    pub fn execute(&mut self, pool: &ThreadPool) -> Result<ExecStats, RunError> {
-        self.graph.execute(pool, &self.table)
-    }
-
-    /// Like [`ReusableGraph::execute`], but with a per-run [`RunBudget`]
-    /// (wall-clock deadline checked at every task claim).
-    ///
-    /// # Errors
-    /// Returns [`RunError::DeadlineExceeded`] if the budget expires mid-run,
-    /// or [`RunError::Panicked`] if a task panics.
-    pub fn execute_with(
-        &mut self,
-        pool: &ThreadPool,
-        budget: &RunBudget,
-    ) -> Result<ExecStats, RunError> {
-        self.graph.execute_with(pool, &self.table, budget)
-    }
-
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.graph.task_count()
-    }
-
-    /// Number of dependency edges.
-    pub fn edge_count(&self) -> usize {
-        self.graph.edge_count()
-    }
-
-    /// `true` if every live dependency counter equals its initial value (see
-    /// [`CompiledGraph::counters_are_reset`]).
-    pub fn counters_are_reset(&self) -> bool {
-        self.graph.counters_are_reset()
-    }
-
-    /// Restores the dependency counters (see [`CompiledGraph::reset`]).
-    pub fn reset(&self) {
-        self.graph.reset()
     }
 }
 
@@ -1344,45 +1092,6 @@ impl<T: TaskTable> Drop for ScheduleDriver<T> {
     }
 }
 
-/// Executes a task graph on a pool, blocking until every task has run.
-///
-/// Compiles the graph and runs it once; to amortise construction over many
-/// executions, use [`TaskGraph::compile`] and call
-/// [`ReusableGraph::execute`] repeatedly instead.
-///
-/// # Panics
-/// Panics if the graph contains a dependency cycle (which could never complete).
-///
-/// # Errors
-/// Returns [`RunError::Panicked`] if a task panics; the run drains and the
-/// error carries the panic payload.
-pub fn execute_graph(pool: &ThreadPool, graph: TaskGraph) -> Result<ExecStats, RunError> {
-    execute_graph_placed(pool, graph, Vec::new())
-}
-
-/// Executes a task graph with per-task placement constraints.
-///
-/// `placement` maps each [`TaskId`] index to a [`Placement`]; an empty vector
-/// places every task [`Placement::Anywhere`].  Tasks placed in a queue group
-/// are submitted to that group's injector when they become ready (or kept on
-/// the finishing worker's deque when it already belongs to the group), so with
-/// a within-group steal order the group boundary is never crossed.
-///
-/// # Panics
-/// Panics if the graph is cyclic, or if `placement` is non-empty and its
-/// length differs from the task count.
-///
-/// # Errors
-/// Returns [`RunError::Panicked`] if a task panics; the run drains and the
-/// error carries the panic payload.
-pub fn execute_graph_placed(
-    pool: &ThreadPool,
-    graph: TaskGraph,
-    placement: Vec<Placement>,
-) -> Result<ExecStats, RunError> {
-    graph.compile_placed(placement).execute(pool)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1393,10 +1102,30 @@ mod tests {
         ThreadPool::new(4)
     }
 
+    /// A test-only closure table: task `t` runs `f(t)`.
+    struct FnTable<F>(F);
+
+    impl<F: Fn(u32) + Send + Sync + 'static> TaskTable for FnTable<F> {
+        fn run_task(&self, task: u32) {
+            (self.0)(task)
+        }
+    }
+
+    /// Runs `task_count` closure tasks under `edges` once on `p`.
+    fn run_closures(
+        p: &ThreadPool,
+        task_count: usize,
+        edges: &[(u32, u32)],
+        f: impl Fn(u32) + Send + Sync + 'static,
+    ) -> Result<ExecStats, RunError> {
+        let graph = Arc::new(CompiledGraph::from_edges(task_count, edges, Vec::new()));
+        graph.execute(p, &Arc::new(FnTable(f)))
+    }
+
     #[test]
     fn empty_graph_returns_immediately() {
         let p = pool();
-        let stats = execute_graph(&p, TaskGraph::new()).unwrap();
+        let stats = run_closures(&p, 0, &[], |_| {}).unwrap();
         assert_eq!(stats.tasks, 0);
     }
 
@@ -1404,20 +1133,10 @@ mod tests {
     fn diamond_respects_dependencies() {
         let p = pool();
         let order = Arc::new(Mutex::new(Vec::new()));
-        let mut g = TaskGraph::new();
-        let mk = |name: &'static str, order: &Arc<Mutex<Vec<&'static str>>>| {
-            let o = Arc::clone(order);
-            move || o.lock().push(name)
-        };
-        let a = g.add_task(mk("a", &order));
-        let b = g.add_task(mk("b", &order));
-        let c = g.add_task(mk("c", &order));
-        let d = g.add_task(mk("d", &order));
-        g.add_dependency(a, b);
-        g.add_dependency(a, c);
-        g.add_dependency(b, d);
-        g.add_dependency(c, d);
-        let stats = execute_graph(&p, g).unwrap();
+        let o = Arc::clone(&order);
+        let names = ["a", "b", "c", "d"];
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
+        let stats = run_closures(&p, 4, &edges, move |t| o.lock().push(names[t as usize])).unwrap();
         assert_eq!(stats.tasks, 4);
         let order = order.lock();
         let pos = |x: &str| order.iter().position(|&o| o == x).unwrap();
@@ -1431,25 +1150,23 @@ mod tests {
     fn every_task_runs_exactly_once() {
         let p = pool();
         let counter = Arc::new(AtomicUsize::new(0));
-        let mut g = TaskGraph::with_capacity(500);
-        let ids: Vec<TaskId> = (0..500)
-            .map(|_| {
-                let c = Arc::clone(&counter);
-                g.add_task(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
+        let n = 500u32;
         // Layered random-ish dependencies: task i depends on a few earlier tasks.
-        for i in 1..ids.len() {
-            for k in 1..=3usize {
+        let mut edges = Vec::new();
+        for i in 1..n {
+            for k in 1..=3u32 {
                 if i >= k * 7 {
-                    g.add_dependency(ids[i - k * 7], ids[i]);
+                    edges.push((i - k * 7, i));
                 }
             }
         }
+        let g = Arc::new(CompiledGraph::from_edges(n as usize, &edges, Vec::new()));
         assert!(g.is_acyclic());
-        let stats = execute_graph(&p, g).unwrap();
+        let c = Arc::clone(&counter);
+        let table = Arc::new(FnTable(move |_| {
+            c.fetch_add(1, Ordering::SeqCst);
+        }));
+        let stats = g.execute(&p, &table).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 500);
         assert_eq!(stats.tasks, 500);
         assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), 500);
@@ -1459,18 +1176,10 @@ mod tests {
     fn serial_chain_executes_in_order() {
         let p = ThreadPool::new(2);
         let log = Arc::new(Mutex::new(Vec::new()));
-        let mut g = TaskGraph::new();
-        let n = 50;
-        let mut prev: Option<TaskId> = None;
-        for i in 0..n {
-            let l = Arc::clone(&log);
-            let id = g.add_task(move || l.lock().push(i));
-            if let Some(pv) = prev {
-                g.add_dependency(pv, id);
-            }
-            prev = Some(id);
-        }
-        execute_graph(&p, g).unwrap();
+        let n = 50u32;
+        let edges: Vec<(u32, u32)> = (1..n).map(|i| (i - 1, i)).collect();
+        let l = Arc::clone(&log);
+        run_closures(&p, n as usize, &edges, move |i| l.lock().push(i)).unwrap();
         let log = log.lock();
         assert_eq!(*log, (0..n).collect::<Vec<_>>());
     }
@@ -1478,17 +1187,14 @@ mod tests {
     #[test]
     fn independent_tasks_use_multiple_workers() {
         let p = ThreadPool::new(4);
-        let mut g = TaskGraph::new();
-        for _ in 0..64 {
-            g.add_task(|| {
-                let mut x = 0u64;
-                for i in 0..300_000u64 {
-                    x = x.wrapping_mul(31).wrapping_add(i);
-                }
-                std::hint::black_box(x);
-            });
-        }
-        let stats = execute_graph(&p, g).unwrap();
+        let stats = run_closures(&p, 64, &[], |_| {
+            let mut x = 0u64;
+            for i in 0..300_000u64 {
+                x = x.wrapping_mul(31).wrapping_add(i);
+            }
+            std::hint::black_box(x);
+        })
+        .unwrap();
         let busy_workers = stats.tasks_per_worker.iter().filter(|&&c| c > 0).count();
         assert!(
             busy_workers >= 2,
@@ -1500,41 +1206,26 @@ mod tests {
     #[test]
     #[should_panic(expected = "cycle")]
     fn cyclic_graph_is_rejected() {
-        let p = pool();
-        let mut g = TaskGraph::new();
-        let a = g.add_task(|| {});
-        let b = g.add_task(|| {});
-        g.add_dependency(a, b);
-        g.add_dependency(b, a);
-        let _ = execute_graph(&p, g);
+        let _ = CompiledGraph::from_edges(2, &[(0, 1), (1, 0)], Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "cannot depend on itself")]
     fn self_dependency_is_rejected() {
-        let mut g = TaskGraph::new();
-        let a = g.add_task(|| {});
-        g.add_dependency(a, a);
+        let _ = CompiledGraph::from_edges(1, &[(0, 0)], Vec::new());
     }
 
     #[test]
     fn graph_reuse_of_pool_across_executions() {
         let p = pool();
+        let edges: Vec<(u32, u32)> = (1..20).map(|i| (i - 1, i)).collect();
         for round in 0..5 {
             let counter = Arc::new(AtomicUsize::new(0));
-            let mut g = TaskGraph::new();
-            let prev_ids: Vec<TaskId> = (0..20)
-                .map(|_| {
-                    let c = Arc::clone(&counter);
-                    g.add_task(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    })
-                })
-                .collect();
-            for w in prev_ids.windows(2) {
-                g.add_dependency(w[0], w[1]);
-            }
-            execute_graph(&p, g).unwrap();
+            let c = Arc::clone(&counter);
+            run_closures(&p, 20, &edges, move |_| {
+                c.fetch_add(1, Ordering::SeqCst);
+            })
+            .unwrap();
             assert_eq!(counter.load(Ordering::SeqCst), 20, "round {round}");
         }
     }
@@ -1543,22 +1234,15 @@ mod tests {
     fn compiled_graph_executes_repeatedly_without_rebuilding() {
         let p = pool();
         let counter = Arc::new(AtomicUsize::new(0));
-        let mut g = TaskGraph::new();
-        let ids: Vec<TaskId> = (0..64)
-            .map(|_| {
-                let c = Arc::clone(&counter);
-                g.add_task(move || {
-                    c.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .collect();
-        for i in 1..ids.len() {
-            g.add_dependency(ids[i / 2], ids[i]); // binary tree
-        }
-        let mut compiled = g.compile();
+        let edges: Vec<(u32, u32)> = (1..64).map(|i| (i / 2, i)).collect(); // binary tree
+        let compiled = Arc::new(CompiledGraph::from_edges(64, &edges, Vec::new()));
+        let c = Arc::clone(&counter);
+        let table = Arc::new(FnTable(move |_| {
+            c.fetch_add(1, Ordering::SeqCst);
+        }));
         assert!(compiled.counters_are_reset());
         for round in 1..=3 {
-            let stats = compiled.execute(&p).unwrap();
+            let stats = compiled.execute(&p, &table).unwrap();
             assert_eq!(stats.tasks, 64, "round {round}");
             assert_eq!(counter.load(Ordering::SeqCst), 64 * round, "round {round}");
             assert!(
@@ -1817,12 +1501,11 @@ mod tests {
     #[test]
     fn unbounded_budget_never_trips() {
         let p = pool();
-        let mut g = TaskGraph::new();
-        for _ in 0..32 {
-            g.add_task(|| {});
-        }
-        let mut compiled = g.compile();
-        let stats = compiled.execute_with(&p, &RunBudget::UNBOUNDED).unwrap();
+        let graph = Arc::new(CompiledGraph::from_edges(32, &[], Vec::new()));
+        let table = Arc::new(FnTable(|_| {}));
+        let stats = graph
+            .execute_with(&p, &table, &RunBudget::UNBOUNDED)
+            .unwrap();
         assert_eq!(stats.tasks, 32);
     }
 

@@ -8,8 +8,8 @@
 //! These helpers block the *calling* thread until the spawned work finishes.  They
 //! are intended for use from outside the pool (the main thread of an example or
 //! benchmark); for deeply nested parallel recursion, build a
-//! [`TaskGraph`](crate::dataflow::TaskGraph) instead — blocking a worker from inside a job wastes
-//! a core, which is exactly the pathology the dataflow executor avoids.
+//! [`CompiledGraph`](crate::dataflow::CompiledGraph) instead — blocking a worker from inside a
+//! job wastes a core, which is exactly the pathology the dataflow executor avoids.
 
 use crate::latch::CountLatch;
 use crate::pool::ThreadPool;

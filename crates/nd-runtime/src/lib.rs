@@ -23,8 +23,8 @@
 //!   stealing for load balance — the NP-style intra-processor order the paper
 //!   advocates).
 //! * [`lower`] — the lowering from the model layer's ground-truth object (the
-//!   DRS-produced `AlgorithmDag` of `nd-core`) into both executable graph
-//!   forms, preserving vertex indexing so per-vertex side tables (kernel
+//!   DRS-produced `AlgorithmDag` of `nd-core`) into the compiled graph form,
+//!   preserving vertex indexing so per-vertex side tables (kernel
 //!   tables, anchoring placements) line up without translation.
 //! * [`join`] — a minimal fork-join façade built on the same pool, used by examples
 //!   and by the NP wall-clock baselines.
@@ -58,9 +58,8 @@ pub mod pool;
 #[cfg(feature = "chaos")]
 pub use chaos::{ChaosStats, FaultPlan, WorkerDelay, CHAOS_PANIC_MARKER};
 pub use dataflow::{
-    CompiledGraph, ExecStats, Placement, ReusableGraph, ScheduleDriver, ScheduleError, StepOutcome,
-    TaskGraph, TaskId, TaskTable,
+    CompiledGraph, ExecStats, Placement, ScheduleDriver, ScheduleError, StepOutcome, TaskTable,
 };
 pub use fault::{AdmissionConfig, OverloadPolicy, Priority, RunBudget, RunError, SubmitOutcome};
-pub use lower::{lower_dag, lower_dag_boxed, LoweredDag};
+pub use lower::{lower_dag, LoweredDag};
 pub use pool::{AdmissionSnapshot, PoolStats, PoolTopology, ThreadPool};

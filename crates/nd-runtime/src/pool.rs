@@ -561,21 +561,22 @@ impl Shared {
     /// Injects parked Degrade jobs while both a free admission slot and a
     /// parked job exist.  Shared by the completion path and the submit path
     /// (the latter covers the race where the pool drains to idle between a
-    /// failed reserve and the overflow push).
+    /// failed reserve and the overflow push).  A slot is reserved only under
+    /// the overflow lock with a job to pop, so `outstanding` never counts a
+    /// slot that holds no job.
     fn pump_overflow(&self) {
         let Some(adm) = &self.admission else { return };
-        while adm.try_reserve() {
-            let job = adm.overflow.lock().pop_front();
-            match job {
-                Some(job) => {
-                    self.injector.push(JobUnit::Admitted(job));
-                    self.notify_one();
+        loop {
+            let job = {
+                let mut overflow = adm.overflow.lock();
+                if overflow.is_empty() || !adm.try_reserve() {
+                    return;
                 }
-                None => {
-                    // Reserved a slot but nothing was parked: hand it back.
-                    adm.outstanding.fetch_sub(1, Ordering::AcqRel);
-                    break;
-                }
+                overflow.pop_front()
+            };
+            if let Some(job) = job {
+                self.injector.push(JobUnit::Admitted(job));
+                self.notify_one();
             }
         }
     }

@@ -25,6 +25,15 @@ fn wait_until(label: &str, cond: impl Fn() -> bool) {
     }
 }
 
+/// Admission slots currently held.  A job's slot is released only after its
+/// closure returns, so a drain wait must also see this reach zero before the
+/// exact "all slots released" assertions can hold.
+fn outstanding(pool: &ThreadPool) -> usize {
+    pool.admission_stats()
+        .expect("admission layer is on")
+        .outstanding
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -71,9 +80,8 @@ proptest! {
             prop_assert!(admitted <= burst);
             prop_assert_eq!(pool.jobs_shed(), shed as u64, "workers={}", workers);
             gate.store(1, Ordering::SeqCst);
-            let ran2 = Arc::clone(&ran);
-            wait_until("shed burst drains", move || {
-                ran2.load(Ordering::SeqCst) == admitted
+            wait_until("shed burst drains", || {
+                ran.load(Ordering::SeqCst) == admitted && outstanding(&pool) == 0
             });
             let snap = pool.admission_stats().expect("admission layer is on");
             prop_assert_eq!(ran.load(Ordering::SeqCst), admitted, "exactly once");
@@ -116,9 +124,8 @@ proptest! {
             prop_assert_eq!(pool.jobs_degraded(), degraded as u64);
             // Σ 1..=burst — every job ran exactly once, parked or not.
             let expected = (burst as u64 * (burst as u64 + 1)) / 2;
-            let sum2 = Arc::clone(&sum);
-            wait_until("degraded burst drains", move || {
-                sum2.load(Ordering::SeqCst) >= expected
+            wait_until("degraded burst drains", || {
+                sum.load(Ordering::SeqCst) >= expected && outstanding(&pool) == 0
             });
             prop_assert_eq!(sum.load(Ordering::SeqCst), expected, "workers={}", workers);
             let snap = pool.admission_stats().expect("admission layer is on");
@@ -152,9 +159,8 @@ proptest! {
                     "Block admits everything eventually"
                 );
             }
-            let ran2 = Arc::clone(&ran);
-            wait_until("blocked burst drains", move || {
-                ran2.load(Ordering::SeqCst) == burst
+            wait_until("blocked burst drains", || {
+                ran.load(Ordering::SeqCst) == burst && outstanding(&pool) == 0
             });
             prop_assert_eq!(ran.load(Ordering::SeqCst), burst);
             let snap = pool.admission_stats().expect("admission layer is on");
@@ -191,12 +197,7 @@ fn pool_stats_carry_fault_counters() {
         SubmitOutcome::Shed
     ));
     gate.store(1, Ordering::SeqCst);
-    wait_until("slot releases", || {
-        pool.admission_stats()
-            .expect("admission layer is on")
-            .outstanding
-            == 0
-    });
+    wait_until("slot releases", || outstanding(&pool) == 0);
     let delta = pool.stats().since(&before);
     assert_eq!(delta.jobs_shed, 1);
     assert_eq!(delta.jobs_degraded, 0);
@@ -278,9 +279,8 @@ fn deadline_fault_does_not_wedge_the_degrade_overflow_queue() {
         // Open the gate: the slot releases and the overflow queue must pump
         // dry, one injection per completion.
         gate.store(1, Ordering::SeqCst);
-        let ran = Arc::clone(&parked_ran);
-        wait_until("parked overflow drains after deadline fault", move || {
-            ran.load(Ordering::SeqCst) == parked
+        wait_until("parked overflow drains after deadline fault", || {
+            parked_ran.load(Ordering::SeqCst) == parked && outstanding(&pool) == 0
         });
         let snap = pool.admission_stats().expect("admission layer is on");
         assert_eq!(snap.overflow_queued, 0);

@@ -12,3 +12,13 @@ pub fn pool_sizes() -> Vec<usize> {
         Err(_) => vec![1, 2, 8],
     }
 }
+
+/// A boxed-closure task table: task `t` runs the `t`-th closure.
+#[allow(dead_code)] // not every test binary that includes `common` uses it
+pub struct BoxedTasks(pub Vec<Box<dyn Fn() + Send + Sync>>);
+
+impl nd_runtime::TaskTable for BoxedTasks {
+    fn run_task(&self, task: u32) {
+        (self.0[task as usize])()
+    }
+}

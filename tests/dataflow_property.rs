@@ -2,7 +2,7 @@
 //! DAGs and pool sizes 1 / 2 / 8, every task runs exactly once and never
 //! before any of its predecessors.
 
-use nd_runtime::dataflow::{execute_graph, execute_graph_placed, Placement, TaskGraph};
+use nd_runtime::dataflow::{CompiledGraph, Placement, TaskTable};
 use nd_runtime::pool::{PoolTopology, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -37,39 +37,50 @@ fn random_preds(n: usize, density_percent: u64, seed: u64) -> Vec<Vec<usize>> {
     preds
 }
 
-/// Builds a task graph over `preds` whose tasks record how often they ran and
+/// A task table over `preds` whose tasks record how often they ran and
 /// count, at start time, predecessors that have not finished yet.
-fn instrumented_graph(preds: &[Vec<usize>]) -> (TaskGraph, Arc<Vec<AtomicU32>>, Arc<AtomicU32>) {
-    let n = preds.len();
-    let done: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-    let runs: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(0)).collect());
-    let violations = Arc::new(AtomicU32::new(0));
-    let mut graph = TaskGraph::with_capacity(n);
-    let ids: Vec<_> = (0..n)
-        .map(|j| {
-            let done = Arc::clone(&done);
-            let runs = Arc::clone(&runs);
-            let violations = Arc::clone(&violations);
-            let my_preds = preds[j].clone();
-            graph.add_task(move || {
-                for &p in &my_preds {
-                    if !done[p].load(Ordering::SeqCst) {
-                        violations.fetch_add(1, Ordering::SeqCst);
-                    }
-                }
-                runs[j].fetch_add(1, Ordering::SeqCst);
-                // The flag write is the task's final action, so a successor
-                // observing it may rely on everything before it.
-                done[j].store(true, Ordering::SeqCst);
-            })
-        })
-        .collect();
-    for (j, p) in preds.iter().enumerate() {
-        for &i in p {
-            graph.add_dependency(ids[i], ids[j]);
+struct Instrumented {
+    preds: Vec<Vec<usize>>,
+    done: Vec<AtomicBool>,
+    runs: Vec<AtomicU32>,
+    violations: AtomicU32,
+}
+
+impl TaskTable for Instrumented {
+    fn run_task(&self, task: u32) {
+        let j = task as usize;
+        for &p in &self.preds[j] {
+            if !self.done[p].load(Ordering::SeqCst) {
+                self.violations.fetch_add(1, Ordering::SeqCst);
+            }
         }
+        self.runs[j].fetch_add(1, Ordering::SeqCst);
+        // The flag write is the task's final action, so a successor
+        // observing it may rely on everything before it.
+        self.done[j].store(true, Ordering::SeqCst);
     }
-    (graph, runs, violations)
+}
+
+/// Compiles `preds` (with `placement`) and pairs the graph with a fresh
+/// instrumented table.
+fn instrumented_graph(
+    preds: &[Vec<usize>],
+    placement: Vec<Placement>,
+) -> (Arc<CompiledGraph>, Arc<Instrumented>) {
+    let n = preds.len();
+    let edges: Vec<(u32, u32)> = preds
+        .iter()
+        .enumerate()
+        .flat_map(|(j, ps)| ps.iter().map(move |&i| (i as u32, j as u32)))
+        .collect();
+    let table = Instrumented {
+        preds: preds.to_vec(),
+        done: (0..n).map(|_| AtomicBool::new(false)).collect(),
+        runs: (0..n).map(|_| AtomicU32::new(0)).collect(),
+        violations: AtomicU32::new(0),
+    };
+    let graph = CompiledGraph::from_edges(n, &edges, placement);
+    (Arc::new(graph), Arc::new(table))
 }
 
 proptest! {
@@ -85,15 +96,15 @@ proptest! {
     ) {
         let preds = random_preds(n, density, seed);
         for pool_size in pool_sizes() {
-            let (graph, runs, violations) = instrumented_graph(&preds);
+            let (graph, table) = instrumented_graph(&preds, Vec::new());
             prop_assert!(graph.is_acyclic());
             let pool = ThreadPool::new(pool_size);
-            let stats = execute_graph(&pool, graph).expect("run");
+            let stats = graph.execute(&pool, &table).expect("run");
             prop_assert_eq!(stats.tasks, n);
-            prop_assert_eq!(violations.load(Ordering::SeqCst), 0,
+            prop_assert_eq!(table.violations.load(Ordering::SeqCst), 0,
                 "a task started before a predecessor finished (pool = {})", pool_size);
             for j in 0..n {
-                prop_assert_eq!(runs[j].load(Ordering::SeqCst), 1,
+                prop_assert_eq!(table.runs[j].load(Ordering::SeqCst), 1,
                     "task {} ran a wrong number of times (pool = {})", j, pool_size);
             }
             prop_assert_eq!(stats.tasks_per_worker.iter().sum::<u64>(), n as u64);
@@ -113,7 +124,6 @@ proptest! {
             steal_distance: vec![vec![0; 4]; 4],
         };
         let preds = random_preds(n, 30, seed);
-        let (graph, runs, violations) = instrumented_graph(&preds);
         let placement: Vec<Placement> = (0..n)
             .map(|j| match j % 3 {
                 0 => Placement::Group(0),
@@ -121,12 +131,13 @@ proptest! {
                 _ => Placement::Anywhere,
             })
             .collect();
+        let (graph, table) = instrumented_graph(&preds, placement);
         let pool = ThreadPool::with_topology(topology);
-        let stats = execute_graph_placed(&pool, graph, placement).expect("run");
+        let stats = graph.execute(&pool, &table).expect("run");
         prop_assert_eq!(stats.tasks, n);
-        prop_assert_eq!(violations.load(Ordering::SeqCst), 0);
+        prop_assert_eq!(table.violations.load(Ordering::SeqCst), 0);
         for j in 0..n {
-            prop_assert_eq!(runs[j].load(Ordering::SeqCst), 1);
+            prop_assert_eq!(table.runs[j].load(Ordering::SeqCst), 1);
         }
     }
 }

@@ -1,16 +1,16 @@
-//! Executor stress test: the boxed (closure) and non-boxed ([`TaskTable`])
-//! execution modes run the same randomized DAGs and must both execute every
+//! Executor stress test: a boxed-closure task table and a direct
+//! [`TaskTable`] run the same randomized DAGs and must both execute every
 //! task exactly once, never before a predecessor, across pool sizes — and the
-//! non-boxed graphs stay reusable under repeated execution.
+//! compiled graphs stay reusable under repeated execution.
 
-use nd_runtime::dataflow::{execute_graph, CompiledGraph, TaskGraph, TaskTable};
+use nd_runtime::dataflow::{CompiledGraph, TaskTable};
 use nd_runtime::{RunError, ThreadPool};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 mod common;
-use common::pool_sizes;
+use common::{pool_sizes, BoxedTasks};
 
 /// Deterministic random predecessor lists: task `j` depends on each task in a
 /// window of earlier tasks with probability `density_percent`%.  (Edges always
@@ -95,7 +95,7 @@ fn edges_of(preds: &[Vec<usize>]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Both modes, three DAG shapes (sparse, medium, dense), three pool sizes.
+/// Both table kinds, three DAG shapes (sparse, medium, dense), three pool sizes.
 #[test]
 fn boxed_and_table_modes_agree_on_randomized_dags() {
     for (seed, density) in [(1u64, 10u64), (2, 45), (3, 85)] {
@@ -104,25 +104,22 @@ fn boxed_and_table_modes_agree_on_randomized_dags() {
         for workers in pool_sizes() {
             let pool = ThreadPool::new(workers);
 
-            // Boxed mode: closures over a shared probe.
+            // Boxed closures over a shared probe.
             let probe = Arc::new(Probe::new(preds.clone()));
-            let mut g = TaskGraph::with_capacity(n);
-            let ids: Vec<_> = (0..n)
-                .map(|j| {
-                    let probe = Arc::clone(&probe);
-                    g.add_task(move || probe.observe(j))
-                })
-                .collect();
-            for (j, ps) in preds.iter().enumerate() {
-                for &i in ps {
-                    g.add_dependency(ids[i], ids[j]);
-                }
-            }
-            let stats = execute_graph(&pool, g).expect("run");
+            let boxed = Arc::new(BoxedTasks(
+                (0..n)
+                    .map(|j| {
+                        let probe = Arc::clone(&probe);
+                        Box::new(move || probe.observe(j)) as Box<dyn Fn() + Send + Sync>
+                    })
+                    .collect(),
+            ));
+            let graph = Arc::new(CompiledGraph::from_edges(n, &edges_of(&preds), Vec::new()));
+            let stats = graph.execute(&pool, &boxed).expect("run");
             assert_eq!(stats.tasks, n);
             probe.assert_round(1, &format!("boxed seed={seed} workers={workers}"));
 
-            // Non-boxed mode: the probe *is* the task table.
+            // Direct table: the probe *is* the task table.
             let table = Arc::new(Probe::new(preds.clone()));
             let graph = Arc::new(CompiledGraph::from_edges(n, &edges_of(&preds), Vec::new()));
             let stats = graph.execute(&pool, &table).expect("run");
@@ -133,7 +130,7 @@ fn boxed_and_table_modes_agree_on_randomized_dags() {
     }
 }
 
-/// The non-boxed graph stays correct under repeated execution: five rounds on
+/// The compiled graph stays correct under repeated execution: five rounds on
 /// one compiled graph, each ordered and exactly-once, counters restored.
 #[test]
 fn table_mode_reuse_stays_ordered_over_many_rounds() {

@@ -6,41 +6,43 @@ use nd_algorithms::common::Mode;
 use nd_algorithms::exec::{compile_algorithm, ExecContext};
 use nd_algorithms::mm::build_mm;
 use nd_linalg::Matrix;
-use nd_runtime::dataflow::TaskGraph;
+use nd_runtime::dataflow::CompiledGraph;
 use nd_runtime::ThreadPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 mod common;
-use common::pool_sizes;
+use common::{pool_sizes, BoxedTasks};
 
-/// Boxed mode: a `ReusableGraph` of `FnMut` closures executed three times.
+/// A compiled graph over a table of boxed closures, executed three times.
 /// Every round runs every task exactly once and leaves the counters restored.
 #[test]
 fn reusable_boxed_graph_executes_three_times_with_restored_counters() {
     let pool = ThreadPool::new(4);
     let n = 200usize;
     let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
-    let mut g = TaskGraph::with_capacity(n);
-    let ids: Vec<_> = (0..n)
-        .map(|j| {
-            let runs = Arc::clone(&runs);
-            g.add_task(move || {
-                runs[j].fetch_add(1, Ordering::SeqCst);
+    let table = Arc::new(BoxedTasks(
+        (0..n)
+            .map(|j| {
+                let runs = Arc::clone(&runs);
+                Box::new(move || {
+                    runs[j].fetch_add(1, Ordering::SeqCst);
+                }) as Box<dyn Fn() + Send + Sync>
             })
-        })
-        .collect();
+            .collect(),
+    ));
     // A mix of chains and diamonds.
-    for j in 1..n {
-        g.add_dependency(ids[j - 1], ids[j]);
+    let mut edges = Vec::new();
+    for j in 1..n as u32 {
+        edges.push((j - 1, j));
         if j >= 13 {
-            g.add_dependency(ids[j - 13], ids[j]);
+            edges.push((j - 13, j));
         }
     }
-    let mut compiled = g.compile();
+    let compiled = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
     assert!(compiled.counters_are_reset());
     for round in 1..=3 {
-        let stats = compiled.execute(&pool).expect("run");
+        let stats = compiled.execute(&pool, &table).expect("run");
         assert_eq!(stats.tasks, n, "round {round}");
         assert!(
             runs.iter().all(|r| r.load(Ordering::SeqCst) == round),
@@ -53,7 +55,7 @@ fn reusable_boxed_graph_executes_three_times_with_restored_counters() {
     }
 }
 
-/// Non-boxed mode end-to-end: one compiled MM algorithm executed three times
+/// Operation-table mode end-to-end: one compiled MM algorithm executed three times
 /// against the same buffers produces bit-identical results, and construction
 /// (DRS + graph build) happens exactly once.
 #[test]

@@ -14,7 +14,7 @@ use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
 use nd_linalg::Matrix;
 use nd_pmh::config::{CacheLevelSpec, PmhConfig};
 use nd_pmh::machine::MachineTree;
-use nd_runtime::dataflow::{CompiledGraph, TaskTable};
+use nd_runtime::dataflow::{CompiledGraph, PersistentRun, TaskTable};
 use nd_runtime::ThreadPool;
 use nd_trace::{EventKind, Trace, TraceConfig, TraceSession, NO_TASK};
 use proptest::prelude::*;
@@ -270,4 +270,32 @@ fn events_outside_a_session_are_not_recorded() {
     let trace = session.finish();
     assert_eq!(trace.events.len(), 0, "no work ran inside the session");
     assert_eq!(trace.dropped, 0);
+}
+
+/// Every run records one `RunBegin`/`RunEnd` pair; only a persistent run,
+/// whose latch is re-armed per call, records a `LatchReset`.
+#[test]
+fn only_persistent_runs_record_latch_resets() {
+    let pool = ThreadPool::new(2);
+    let edges = [(0, 1), (0, 2), (1, 3), (2, 3)];
+    let graph = Arc::new(CompiledGraph::from_edges(4, &edges, Vec::new()));
+    let table = Arc::new(NopTable);
+    let count = |trace: &Trace, kind| trace.events_of(kind).count();
+
+    let session = TraceSession::start(pool.tracer(), TraceConfig::default());
+    graph.execute(&pool, &table).expect("one-shot run");
+    let trace = session.finish();
+    assert_eq!(count(&trace, EventKind::RunBegin), 1);
+    assert_eq!(count(&trace, EventKind::RunEnd), 1);
+    assert_eq!(count(&trace, EventKind::LatchReset), 0);
+
+    let runner = PersistentRun::new(&graph, &table, pool.num_threads());
+    let session = TraceSession::start(pool.tracer(), TraceConfig::default());
+    for _ in 0..2 {
+        runner.execute(&pool).expect("persistent run");
+    }
+    let trace = session.finish();
+    assert_eq!(count(&trace, EventKind::RunBegin), 2);
+    assert_eq!(count(&trace, EventKind::RunEnd), 2);
+    assert_eq!(count(&trace, EventKind::LatchReset), 2);
 }
