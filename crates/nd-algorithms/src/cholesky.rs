@@ -35,13 +35,13 @@
 //! * `SYG` / `SYP` — the group / pair arrows of SYRK (mirrors of `MMG` / `MMP`).
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
+use crate::driver::{run_once, Executor};
+use crate::exec::ExecContext;
 use crate::frontend::{build_program, FireProgram, OpRecorder};
 use crate::mm::register_mm_fire_types;
-use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
-use nd_runtime::ThreadPool;
 
 /// A task of the Cholesky program.
 #[derive(Clone, Debug)]
@@ -432,12 +432,12 @@ pub fn build_cholesky(n: usize, base: usize, mode: Mode) -> BuiltAlgorithm {
 
 /// Factors `a` in place in parallel: on return the lower triangle holds `L` (the
 /// strict upper triangle is zeroed for convenience).
-pub fn cholesky_parallel(pool: &ThreadPool, a: &mut Matrix, mode: Mode, base: usize) {
+pub fn cholesky_parallel(exec: &dyn Executor, a: &mut Matrix, mode: Mode, base: usize) {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     let built = build_cholesky(n, base, mode);
     let ctx = ExecContext::from_matrices(&mut [a]);
-    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(exec, &built, &ctx).expect("algorithm strand panicked");
     a.zero_upper_triangle();
 }
 
@@ -446,6 +446,7 @@ mod tests {
     use super::*;
     use nd_core::work_span::{fit_power_law, WorkSpan};
     use nd_linalg::potrf::{cholesky_residual, potrf_naive};
+    use nd_runtime::ThreadPool;
 
     /// One compiled Cholesky graph re-factors the same SPD matrix (restored in
     /// place between runs) three times bit-identically, counters restored.

@@ -3,13 +3,18 @@
 //! Every algorithm in this crate follows the same lifecycle — build the
 //! spawn tree + DAG + operation table ([`BuiltAlgorithm`]), bind the runtime
 //! data ([`ExecContext`]), lower to the compiled, reusable, allocation-free
-//! graph form ([`CompiledAlgorithm`]), and execute (flat, or placed under
-//! `nd-exec`'s anchoring).  This module is the one place that lifecycle is
-//! written down; the per-algorithm `*_parallel` drivers, the anchored
-//! wrappers of `nd-exec`, the `exp_exec` benchmark sections and the
-//! graph-reuse test harnesses all go through it instead of each carrying
-//! their own copy (which is what the `mm`/`trs`/`cholesky`/`lcs`/`fw1d`
-//! modules did before LU and 2-D Floyd–Warshall joined the compiled path).
+//! graph form ([`CompiledAlgorithm`]), and execute.  This module is the one
+//! place that lifecycle is written down; the per-algorithm `*_parallel`
+//! drivers, the `exp_exec` benchmark sections and the graph-reuse test
+//! harnesses all go through it instead of each carrying their own copy.
+//!
+//! Where the strands run is an argument, not a second API.  ND programs are
+//! processor- and cache-oblivious, so every run entry point takes an
+//! [`Executor`]: a flat [`ThreadPool`] (no placement constraints), or
+//! `nd-exec`'s `HierarchicalPool`, which routes every strand to the
+//! subcluster its `σ·M_i`-maximal task was anchored to.  Both share the
+//! compiled executor's hot path; the placement vector is the only
+//! difference.
 
 use crate::common::BuiltAlgorithm;
 use crate::exec::{compile_algorithm_placed, CompiledAlgorithm, ExecContext, Layout};
@@ -22,6 +27,35 @@ use nd_runtime::ThreadPool;
 use nd_trace::{TaskMeta, Trace, TraceConfig, TraceSession};
 use std::sync::Arc;
 
+/// Where a built algorithm runs: the pool its strands execute on and the
+/// per-strand placement that routes them.
+pub trait Executor {
+    /// The thread pool the strands run on.
+    fn pool(&self) -> &ThreadPool;
+
+    /// Per-DAG-vertex placement of `built`; empty means no placement
+    /// constraints (the flat executor's fast path).
+    fn placement(&self, _built: &BuiltAlgorithm) -> Vec<Placement> {
+        Vec::new()
+    }
+
+    /// The cache level of placement group `group` — the trace's
+    /// `anchor_levels` column.  Only called for groups [`placement`]
+    /// returned.
+    ///
+    /// [`placement`]: Executor::placement
+    fn group_level(&self, _group: u32) -> u8 {
+        0
+    }
+}
+
+/// The flat executor: locality-blind work stealing, no placement.
+impl Executor for ThreadPool {
+    fn pool(&self) -> &ThreadPool {
+        self
+    }
+}
+
 /// Lowers a built algorithm to its compiled form against `ctx` (no placement
 /// constraints — the flat executor's fast path).
 pub fn compile(built: &BuiltAlgorithm, ctx: &ExecContext) -> CompiledAlgorithm {
@@ -29,8 +63,8 @@ pub fn compile(built: &BuiltAlgorithm, ctx: &ExecContext) -> CompiledAlgorithm {
 }
 
 /// Lowers a built algorithm to its compiled form with per-task placement
-/// constraints (the anchored executor of `nd-exec` routes every strand to its
-/// subcluster this way).
+/// constraints (an [`Executor`]'s placement, or any other, e.g. an anchoring
+/// computed with a non-default `σ`).
 pub fn compile_placed(
     built: &BuiltAlgorithm,
     ctx: &ExecContext,
@@ -39,26 +73,26 @@ pub fn compile_placed(
     compile_algorithm_placed(&built.dag, &built.ops, ctx, placement)
 }
 
-/// One-shot execution: compile and run once on the flat pool.  To amortise
-/// construction, keep the [`CompiledAlgorithm`] from [`compile`] and
-/// re-execute it.
+/// One-shot execution: compile under `exec`'s placement and run once on its
+/// pool.  To amortise construction, keep the [`CompiledAlgorithm`] from
+/// [`compile`] / [`compile_placed`] and re-execute it.
 ///
 /// # Errors
 /// Returns [`RunError::Panicked`] if a strand panics; the run drains and the
 /// matrices may hold partial results.
 pub fn run_once(
-    pool: &ThreadPool,
+    exec: &dyn Executor,
     built: &BuiltAlgorithm,
     ctx: &ExecContext,
 ) -> Result<ExecStats, RunError> {
-    compile(built, ctx).execute(pool)
+    compile_placed(built, ctx, exec.placement(built)).execute(exec.pool())
 }
 
 /// The full per-task trace side tables for a built + compiled algorithm:
 /// the compiled form supplies operation kinds and dependency edges, the DAG
 /// supplies the pedigree column (each strand's spawn-tree node — the paper's
-/// pedigree coordinate).  Anchoring columns stay empty here; the anchored
-/// executor of `nd-exec` fills them from its placement.
+/// pedigree coordinate).  Anchoring columns stay empty here;
+/// [`run_once_traced`] fills them from the executor's placement.
 pub fn trace_meta(built: &BuiltAlgorithm, compiled: &CompiledAlgorithm) -> TaskMeta {
     let mut meta = compiled.trace_meta();
     meta.home_nodes = built
@@ -72,11 +106,14 @@ pub fn trace_meta(built: &BuiltAlgorithm, compiled: &CompiledAlgorithm) -> TaskM
     meta
 }
 
-/// One-shot **traced** execution on the flat pool: compiles `built`, runs it
-/// under a [`TraceSession`] on the pool's tracer, and returns the execution
-/// statistics together with the finished [`Trace`] (per-strand spans plus
-/// derived scheduler metrics, side tables attached).  Tracing is enabled only
-/// for the duration of the run; the capacity knob is read from
+/// One-shot **traced** execution: compiles `built` under `exec`'s placement,
+/// runs it under a [`TraceSession`] on the pool's tracer, and returns the
+/// execution statistics together with the finished [`Trace`] (per-strand
+/// spans plus derived scheduler metrics, side tables attached).  When the
+/// placement is non-empty the trace also carries, per strand, the anchor
+/// queue group and that group's cache level, so exported spans can be read
+/// against the paper's `σ·M_i` anchoring discipline.  Tracing is enabled
+/// only for the duration of the run; the capacity knob is read from
 /// [`nd_trace::CAPACITY_ENV`].
 ///
 /// # Errors
@@ -84,15 +121,25 @@ pub fn trace_meta(built: &BuiltAlgorithm, compiled: &CompiledAlgorithm) -> TaskM
 /// and returned either way — a faulted run's trace shows the caught fault
 /// inline (an `EventKind::Fault` instant on the recording worker's track).
 pub fn run_once_traced(
-    pool: &ThreadPool,
+    exec: &dyn Executor,
     built: &BuiltAlgorithm,
     ctx: &ExecContext,
 ) -> (Result<ExecStats, RunError>, Trace) {
-    let compiled = compile(built, ctx);
-    let session = TraceSession::start(pool.tracer(), TraceConfig::from_env());
-    let stats = compiled.execute(pool);
-    let trace = session.finish_with_meta(trace_meta(built, &compiled));
-    (stats, trace)
+    let placement = exec.placement(built);
+    let (anchor_groups, anchor_levels) = placement
+        .iter()
+        .map(|p| match *p {
+            Placement::Group(g) => (g, exec.group_level(g)),
+            Placement::Anywhere => (u32::MAX, 0),
+        })
+        .unzip();
+    let compiled = compile_placed(built, ctx, placement);
+    let mut meta = trace_meta(built, &compiled);
+    meta.anchor_groups = anchor_groups;
+    meta.anchor_levels = anchor_levels;
+    let session = TraceSession::start(exec.pool().tracer(), TraceConfig::from_env());
+    let stats = compiled.execute(exec.pool());
+    (stats, session.finish_with_meta(meta))
 }
 
 /// The non-matrix runtime state an algorithm binds besides its matrices.
@@ -156,9 +203,10 @@ pub fn bind_layout(
 /// base-case size so every base block is one contiguous slab), executed, and
 /// unpacked back — so results land in `mats` on both layouts and can be
 /// compared bit-for-bit.  All seven algorithms run through this entry point
-/// (their extras are [`ContextExtras`]).
+/// (their extras are [`ContextExtras`]), on either executor — anchoring and
+/// contiguous tiles compose.
 pub fn run_once_on_layout(
-    pool: &ThreadPool,
+    exec: &dyn Executor,
     built: &BuiltAlgorithm,
     mats: &mut [&mut Matrix],
     tile: usize,
@@ -166,7 +214,7 @@ pub fn run_once_on_layout(
     extras: ContextExtras,
 ) -> LayoutRun {
     let (tiles, ctx) = bind_layout(mats, tile, layout, extras);
-    let stats = run_once(pool, built, &ctx).expect("algorithm strand panicked");
+    let stats = run_once(exec, built, &ctx).expect("algorithm strand panicked");
     for (tile_mat, m) in tiles.iter().zip(mats.iter_mut()) {
         tile_mat.unpack_into(m);
     }

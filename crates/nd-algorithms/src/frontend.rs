@@ -17,10 +17,10 @@
 //! 3. run the DRS ([`DagRewriter`]) to obtain the algorithm DAG, and
 //! 4. package tree + DAG + operation table as a [`BuiltAlgorithm`], ready for
 //!    [`driver::compile`](crate::driver::compile) /
-//!    [`run_once`](crate::driver::run_once) /
 //!    [`execute_reuse_rounds`](crate::driver::execute_reuse_rounds) on the
-//!    flat pool and for `nd_exec::execute::run_anchored` on the hierarchical
-//!    one.
+//!    flat pool, and for [`run_once`](crate::driver::run_once) on any
+//!    executor — the flat pool, or `nd-exec`'s hierarchical one under
+//!    `σ·M_i` anchoring.
 //!
 //! Every recursive algorithm in this crate (MM/MMS, TRS, Cholesky, LCS, 1-D
 //! Floyd–Warshall) goes through this frontend; the access-set tracker of

@@ -29,12 +29,12 @@
 //!   up (every cell of the first row below an `A` block reads that block's corner).
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode};
+use crate::driver::{run_once, Executor};
+use crate::exec::ExecContext;
 use crate::frontend::{build_program, FireProgram, OpRecorder};
-use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
-use nd_runtime::ThreadPool;
 
 /// Which kind of block a task covers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -278,7 +278,11 @@ pub fn build_fw1d(n: usize, base: usize, mode: Mode) -> BuiltAlgorithm {
 
 /// Runs the 1-D Floyd–Warshall in parallel from the given initial row
 /// (`initial[1..=n]` are the `d(0, ·)` values) and returns the full table.
-pub fn fw1d_parallel(pool: &ThreadPool, initial: &[f64], mode: Mode, base: usize) -> Matrix {
+pub fn fw1d_parallel(exec: &dyn Executor, initial: &[f64], mode: Mode, base: usize) -> Matrix {
+    assert!(
+        !initial.is_empty(),
+        "fw1d_parallel needs the initial row initial[0..=n] (got an empty slice)"
+    );
     let n = initial.len() - 1;
     let built = build_fw1d(n, base, mode);
     let mut table = Matrix::zeros(n + 1, n + 1);
@@ -286,7 +290,7 @@ pub fn fw1d_parallel(pool: &ThreadPool, initial: &[f64], mode: Mode, base: usize
         table[(0, i)] = initial[i];
     }
     let ctx = ExecContext::from_matrices(&mut [&mut table]);
-    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(exec, &built, &ctx).expect("algorithm strand panicked");
     table
 }
 
@@ -295,6 +299,7 @@ mod tests {
     use super::*;
     use nd_core::work_span::{fit_power_law, WorkSpan};
     use nd_linalg::fw::fw1d_naive;
+    use nd_runtime::ThreadPool;
 
     /// One compiled 1-D Floyd–Warshall graph recomputes the table (re-seeded
     /// in place between runs) three times bit-identically, counters restored.
@@ -385,6 +390,12 @@ mod tests {
         let reference = fw1d_naive(&initial);
         let table = fw1d_parallel(&pool, &initial, Mode::Nd, 2);
         assert!(table.max_abs_diff(&reference) < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "fw1d_parallel needs the initial row")]
+    fn parallel_fw1d_rejects_an_empty_initial_row() {
+        fw1d_parallel(&ThreadPool::new(1), &[], Mode::Nd, 16);
     }
 
     #[test]

@@ -27,10 +27,10 @@
 
 use crate::access::AccessDagBuilder;
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
-use crate::{driver::run_once, exec::ExecContext};
+use crate::driver::{run_once, Executor};
+use crate::exec::ExecContext;
 use nd_core::fire::FireTable;
 use nd_linalg::Matrix;
-use nd_runtime::ThreadPool;
 
 /// Builds the blocked Floyd–Warshall program for an `n × n` distance matrix
 /// (matrix id 0) with block size `base`: spawn tree, algorithm DAG and
@@ -119,12 +119,12 @@ pub fn build_fw2d(n: usize, base: usize, mode: Mode) -> BuiltAlgorithm {
 }
 
 /// Solves all-pairs shortest paths in place on the distance matrix `d` in parallel.
-pub fn apsp_parallel(pool: &ThreadPool, d: &mut Matrix, mode: Mode, base: usize) {
+pub fn apsp_parallel(exec: &dyn Executor, d: &mut Matrix, mode: Mode, base: usize) {
     let n = d.rows();
     assert_eq!(d.cols(), n);
     let built = build_fw2d(n, base, mode);
     let ctx = ExecContext::from_matrices(&mut [d]);
-    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(exec, &built, &ctx).expect("algorithm strand panicked");
 }
 
 #[cfg(test)]
@@ -133,6 +133,7 @@ mod tests {
     use crate::driver::execute_reuse_rounds;
     use nd_core::work_span::WorkSpan;
     use nd_linalg::fw::{floyd_warshall_naive, random_digraph};
+    use nd_runtime::ThreadPool;
 
     #[test]
     fn np_and_nd_have_identical_ops_and_work() {

@@ -21,13 +21,13 @@
 //! ```
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode};
+use crate::driver::{run_once, Executor};
+use crate::exec::ExecContext;
 use crate::frontend::{build_program, FireProgram, OpRecorder};
-use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
 use nd_runtime::dataflow::ExecStats;
-use nd_runtime::ThreadPool;
 
 /// One LCS task: a block of the dynamic-programming table, as 1-based half-open row
 /// and column ranges.
@@ -197,7 +197,7 @@ pub fn build_lcs(n: usize, base: usize, mode: Mode) -> BuiltAlgorithm {
 /// Computes the LCS length of two equal-length sequences in parallel.  Returns the
 /// LCS length and the executor statistics.
 pub fn lcs_parallel(
-    pool: &ThreadPool,
+    exec: &dyn Executor,
     s: &[u8],
     t: &[u8],
     mode: Mode,
@@ -212,7 +212,7 @@ pub fn lcs_parallel(
     let built = build_lcs(n, base, mode);
     let mut table = Matrix::zeros(n + 1, n + 1);
     let ctx = ExecContext::with_sequences(&mut [&mut table], s.to_vec(), t.to_vec());
-    let stats = run_once(pool, &built, &ctx).expect("algorithm strand panicked");
+    let stats = run_once(exec, &built, &ctx).expect("algorithm strand panicked");
     (table[(n, n)] as u64, stats)
 }
 
@@ -221,6 +221,7 @@ mod tests {
     use super::*;
     use nd_core::work_span::{fit_power_law, WorkSpan};
     use nd_linalg::lcs::{lcs_naive, random_sequence};
+    use nd_runtime::ThreadPool;
 
     /// One compiled LCS graph recomputes the table (zeroed in place between
     /// runs) three times bit-identically, counters restored.

@@ -36,11 +36,11 @@
 
 use crate::access::AccessDagBuilder;
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
-use crate::{driver::run_once, exec::ExecContext};
+use crate::driver::{run_once, Executor};
+use crate::exec::ExecContext;
 use nd_core::fire::FireTable;
 use nd_core::work_span::WorkSpan;
 use nd_linalg::{Matrix, PivotStore};
-use nd_runtime::ThreadPool;
 
 /// Builds the blocked LU program for an `n × n` matrix (matrix id 0) with panel
 /// width `base`: spawn tree, algorithm DAG and block-operation table.
@@ -170,7 +170,7 @@ pub fn build_lu(n: usize, base: usize, mode: Mode) -> BuiltAlgorithm {
 /// # Safety
 /// The caller must uphold the [`PivotStore`] contract: no LU execution
 /// writing this store may be in flight.  In practice, call this only after
-/// the executor has returned (as `lu_parallel` and `lu_anchored` do).
+/// the executor has returned (as `lu_parallel` does).
 pub unsafe fn assemble_global_pivots(pivots: &PivotStore, n: usize, base: usize) -> Vec<usize> {
     assert_eq!(pivots.len(), n, "store must have one slot per column");
     let mut piv = Vec::with_capacity(n);
@@ -185,12 +185,12 @@ pub unsafe fn assemble_global_pivots(pivots: &PivotStore, n: usize, base: usize)
 
 /// Factors `a` in place in parallel with partial pivoting and returns the global
 /// pivot vector (LAPACK convention: at step `r`, row `r` was swapped with `piv[r]`).
-pub fn lu_parallel(pool: &ThreadPool, a: &mut Matrix, mode: Mode, base: usize) -> Vec<usize> {
+pub fn lu_parallel(exec: &dyn Executor, a: &mut Matrix, mode: Mode, base: usize) -> Vec<usize> {
     let n = a.rows();
     assert_eq!(a.cols(), n);
     let built = build_lu(n, base, mode);
     let ctx = ExecContext::with_pivots(&mut [a], n);
-    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(exec, &built, &ctx).expect("algorithm strand panicked");
     // SAFETY: the execution above has completed; no writer holds the store.
     unsafe { assemble_global_pivots(&ctx.pivots, n, base) }
 }
@@ -207,6 +207,7 @@ mod tests {
     use super::*;
     use crate::driver::execute_reuse_rounds;
     use nd_linalg::getrf::{getrf_naive, lu_residual};
+    use nd_runtime::ThreadPool;
 
     #[test]
     fn np_and_nd_have_identical_ops_and_work() {

@@ -31,12 +31,12 @@
 //! the property the space-bounded scheduler exploits (Section 4).
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
+use crate::driver::{run_once, Executor};
+use crate::exec::ExecContext;
 use crate::frontend::{build_program, FireProgram, OpRecorder};
-use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
-use nd_runtime::ThreadPool;
 
 /// One multiply task: `C += α·A·B` on the given blocks.
 #[derive(Clone, Debug)]
@@ -208,9 +208,9 @@ pub fn build_mm(n: usize, base: usize, mode: Mode, alpha: f64) -> BuiltAlgorithm
     )
 }
 
-/// Computes `C += A·B` in parallel on the pool using the given model and base case.
+/// Computes `C += A·B` in parallel on `exec` using the given model and base case.
 pub fn multiply_parallel(
-    pool: &ThreadPool,
+    exec: &dyn Executor,
     a: &Matrix,
     b: &Matrix,
     c: &mut Matrix,
@@ -218,6 +218,12 @@ pub fn multiply_parallel(
     base: usize,
 ) {
     let n = c.rows();
+    assert_eq!(
+        c.cols(),
+        n,
+        "this driver expects a square C (got {n}×{})",
+        c.cols()
+    );
     assert_eq!(a.rows(), n);
     assert_eq!(b.cols(), n);
     assert_eq!(a.cols(), b.rows());
@@ -225,13 +231,14 @@ pub fn multiply_parallel(
     let mut a = a.clone();
     let mut b = b.clone();
     let ctx = ExecContext::from_matrices(&mut [c, &mut a, &mut b]);
-    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(exec, &built, &ctx).expect("algorithm strand panicked");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nd_core::work_span::WorkSpan;
+    use nd_runtime::ThreadPool;
 
     #[test]
     fn np_and_nd_have_identical_leaves_and_work() {
@@ -294,6 +301,17 @@ mod tests {
                 "{mode:?} parallel multiply diverged"
             );
         }
+    }
+
+    /// The builder sizes the DAG from `C`'s rows alone, so a wider `C` would
+    /// have its extra columns silently left untouched.
+    #[test]
+    #[should_panic(expected = "this driver expects a square C")]
+    fn parallel_multiply_rejects_a_non_square_c() {
+        let a = Matrix::random(64, 64, 1);
+        let b = Matrix::random(64, 64, 2);
+        let mut c = Matrix::zeros(64, 128);
+        multiply_parallel(&ThreadPool::new(1), &a, &b, &mut c, Mode::Nd, 16);
     }
 
     /// One compiled graph executed three times: the DRS + graph construction

@@ -37,13 +37,13 @@
 //! * `MMG` / `MMP` — the multiply types shared with [`crate::mm`].
 
 use crate::common::{check_power_of_two_ratio, BlockOp, BuiltAlgorithm, Mode, Rect};
+use crate::driver::{run_once, Executor};
+use crate::exec::ExecContext;
 use crate::frontend::{build_program, FireProgram, OpRecorder};
 use crate::mm::{mm_composition, mm_size, mm_work, register_mm_fire_types, MmTask};
-use crate::{driver::run_once, exec::ExecContext};
 use nd_core::fire::{FireRuleSpec, FireTable};
 use nd_core::program::{Composition, Expansion, NdProgram};
 use nd_linalg::Matrix;
-use nd_runtime::ThreadPool;
 
 /// A task of the TRS program.
 #[derive(Clone, Debug)]
@@ -262,7 +262,7 @@ pub fn build_trs(n: usize, base: usize, mode: Mode) -> BuiltAlgorithm {
 }
 
 /// Solves `T·X = B` in parallel, overwriting `b` with the solution.
-pub fn solve_parallel(pool: &ThreadPool, t: &Matrix, b: &mut Matrix, mode: Mode, base: usize) {
+pub fn solve_parallel(exec: &dyn Executor, t: &Matrix, b: &mut Matrix, mode: Mode, base: usize) {
     let n = t.rows();
     assert_eq!(t.cols(), n);
     assert_eq!(b.rows(), n);
@@ -270,13 +270,14 @@ pub fn solve_parallel(pool: &ThreadPool, t: &Matrix, b: &mut Matrix, mode: Mode,
     let built = build_trs(n, base, mode);
     let mut tm = t.clone();
     let ctx = ExecContext::from_matrices(&mut [&mut tm, b]);
-    run_once(pool, &built, &ctx).expect("algorithm strand panicked");
+    run_once(exec, &built, &ctx).expect("algorithm strand panicked");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nd_core::work_span::{fit_power_law, WorkSpan};
+    use nd_runtime::ThreadPool;
 
     #[test]
     fn np_and_nd_share_leaves_and_work() {

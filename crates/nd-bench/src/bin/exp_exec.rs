@@ -40,15 +40,14 @@
 use nd_algorithms::access::access_oracle_dag;
 use nd_algorithms::cholesky::{build_cholesky, cholesky_parallel};
 use nd_algorithms::common::{BuiltAlgorithm, Mode};
-use nd_algorithms::driver::{self, bind_layout, ContextExtras};
+use nd_algorithms::driver::{self, bind_layout, ContextExtras, Executor};
 use nd_algorithms::exec::{compile_algorithm, ExecContext, Layout};
 use nd_algorithms::fw2d::{apsp_parallel, build_fw2d};
 use nd_algorithms::lcs::build_lcs;
 use nd_algorithms::lu::{build_lu, lu_parallel};
 use nd_algorithms::mm::{build_mm, multiply_parallel};
-use nd_exec::execute::{apsp_anchored, cholesky_anchored, lu_anchored, multiply_anchored};
-use nd_exec::pool::flat_topology_with_distances;
-use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nd_bench::EXECUTORS;
+use nd_exec::{HierarchicalPool, StealPolicy};
 use nd_linalg::fw::random_digraph;
 use nd_linalg::gemm::{gemm_block, gemm_block_packed, gemm_pack_len};
 use nd_linalg::tile::TileMatrix;
@@ -301,8 +300,8 @@ fn bench_trace(
     let ctx = ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]);
     let built = build_mm(n, base, Mode::Nd, 1.0);
     let before = hier.pool().stats();
-    let (_, mm_trace) =
-        nd_exec::execute::run_anchored_traced(&hier, &built, &ctx, &AnchorConfig::default());
+    let (stats, mm_trace) = driver::run_once_traced(&hier, &built, &ctx);
+    stats.expect("traced anchored MM");
     let delta = hier.pool().stats().since(&before);
 
     TraceBench {
@@ -736,43 +735,45 @@ fn cross_steals(by_distance: &[u64]) -> u64 {
     by_distance.iter().skip(1).sum()
 }
 
-/// Measures `work` on a freshly built flat (ring-stealing) pool, classifying
-/// its steals by the machine's distance matrix.  The pool is dropped before
-/// returning, so the next measurement starts with no idle workers around.
-fn measure_flat(
+/// Measures one algorithm on every executor of [`EXECUTORS`] in turn, each on
+/// a freshly built pool that is dropped before the next is built, so idle
+/// workers of one never perturb the other's timings.  The steal counters
+/// classify every steal by the machine's distance matrix.  Before timing,
+/// each executor's output must be bit-identical to the first one's.
+fn measure(
     machine: &MachineTree,
     reps: usize,
-    mut work: impl FnMut(&ThreadPool),
-) -> Measurement {
-    let pool = ThreadPool::with_topology(flat_topology_with_distances(machine));
-    let before = pool.steals_by_distance();
-    let (best_seconds, mean_seconds) = time_reps(reps, || work(&pool));
-    let after = pool.steals_by_distance();
-    let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-    Measurement {
-        best_seconds,
-        mean_seconds,
-        cross_cluster_steals: cross_steals(&delta),
-        total_steals: delta.iter().sum(),
-    }
-}
-
-/// Measures `work` on a freshly built anchored (nearest-cluster-first) pool.
-fn measure_anchored(
-    machine: &MachineTree,
-    reps: usize,
-    mut work: impl FnMut(&HierarchicalPool),
-) -> Measurement {
-    let pool = HierarchicalPool::new(machine.clone(), StealPolicy::NearestFirst);
-    let before = pool.steals_by_distance();
-    let (best_seconds, mean_seconds) = time_reps(reps, || work(&pool));
-    let after = pool.steals_by_distance();
-    let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-    Measurement {
-        best_seconds,
-        mean_seconds,
-        cross_cluster_steals: cross_steals(&delta),
-        total_steals: delta.iter().sum(),
+    alg: &str,
+    run: &dyn Fn(&dyn Executor) -> Matrix,
+    mut record: impl FnMut(&str, Measurement),
+) {
+    let mut reference: Option<Matrix> = None;
+    for (name, make) in EXECUTORS {
+        let exec = make(machine);
+        let out = run(&*exec);
+        match &reference {
+            None => reference = Some(out),
+            Some(r) => assert_eq!(
+                r.max_abs_diff(&out),
+                0.0,
+                "executors disagree on {alg} — scheduling must not change results"
+            ),
+        }
+        let before = exec.pool().steals_by_distance();
+        let (best_seconds, mean_seconds) = time_reps(reps, || {
+            std::hint::black_box(run(&*exec));
+        });
+        let after = exec.pool().steals_by_distance();
+        let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+        record(
+            name,
+            Measurement {
+                best_seconds,
+                mean_seconds,
+                cross_cluster_steals: cross_steals(&delta),
+                total_steals: delta.iter().sum(),
+            },
+        );
     }
 }
 
@@ -978,7 +979,6 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
     let base = 32.min(n);
-    let cfg = AnchorConfig::default();
 
     let host = detect_host();
     let machine = host.machine();
@@ -991,151 +991,45 @@ fn main() {
     );
     eprintln!("exp_exec: n = {n}, base = {base}, reps = {reps}, host layout {layout}");
 
-    // ------------------------------------------------------------------ MM ----
-    let a = Matrix::random(n, n, 1);
-    let b = Matrix::random(n, n, 2);
-
-    // Correctness cross-check first, each executor on its own short-lived pool.
-    let mut c_flat = Matrix::zeros(n, n);
-    {
-        let pool = ThreadPool::new(workers);
-        multiply_parallel(&pool, &a, &b, &mut c_flat, Mode::Nd, base);
-    }
-    {
-        let pool = HierarchicalPool::new(machine.clone(), StealPolicy::NearestFirst);
-        let mut c_hier = Matrix::zeros(n, n);
-        multiply_anchored(&pool, &a, &b, &mut c_hier, base, &cfg);
-        assert_eq!(
-            c_flat.max_abs_diff(&c_hier),
-            0.0,
-            "executors disagree on MM — scheduling must not change results"
-        );
-    }
-
     // Each measurement line is printed as soon as it exists (a crash in a
     // later run must not lose earlier results) and also collected for the
     // BENCH_exec.json summary.
     let mut measurements = Vec::new();
-    let mut record = |line: String| {
-        println!("{line}");
-        measurements.push(line);
-    };
-    let m = measure_flat(&machine, reps, |pool| {
-        let mut c = Matrix::zeros(n, n);
-        multiply_parallel(pool, &a, &b, &mut c, Mode::Nd, base);
-        std::hint::black_box(&c);
-    });
-    record(measurement_json("mm", "flat-ws", &layout, workers, &m));
-
-    let m = measure_anchored(&machine, reps, |pool| {
-        let mut c = Matrix::zeros(n, n);
-        multiply_anchored(pool, &a, &b, &mut c, base, &cfg);
-        std::hint::black_box(&c);
-    });
-    record(measurement_json("mm", "nd-exec", &layout, workers, &m));
-
-    // ------------------------------------------------------------ Cholesky ----
+    let a = Matrix::random(n, n, 1);
+    let b = Matrix::random(n, n, 2);
     let spd = Matrix::random_spd(n, 3);
-
-    let mut l_flat = spd.clone();
-    {
-        let pool = ThreadPool::new(workers);
-        cholesky_parallel(&pool, &mut l_flat, Mode::Nd, base);
-    }
-    {
-        let pool = HierarchicalPool::new(machine.clone(), StealPolicy::NearestFirst);
-        let mut l_hier = spd.clone();
-        cholesky_anchored(&pool, &mut l_hier, base, &cfg);
-        assert_eq!(
-            l_flat.max_abs_diff(&l_hier),
-            0.0,
-            "executors disagree on Cholesky — scheduling must not change results"
-        );
-    }
-
-    let m = measure_flat(&machine, reps, |pool| {
-        let mut l = spd.clone();
-        cholesky_parallel(pool, &mut l, Mode::Nd, base);
-        std::hint::black_box(&l);
-    });
-    record(measurement_json(
-        "cholesky", "flat-ws", &layout, workers, &m,
-    ));
-
-    let m = measure_anchored(&machine, reps, |pool| {
-        let mut l = spd.clone();
-        cholesky_anchored(pool, &mut l, base, &cfg);
-        std::hint::black_box(&l);
-    });
-    record(measurement_json(
-        "cholesky", "nd-exec", &layout, workers, &m,
-    ));
-
-    // ------------------------------------------------------------------ LU ----
     let lua = Matrix::random(n, n, 5);
-
-    let mut lu_flat = lua.clone();
-    {
-        let pool = ThreadPool::new(workers);
-        lu_parallel(&pool, &mut lu_flat, Mode::Nd, base);
-    }
-    {
-        let pool = HierarchicalPool::new(machine.clone(), StealPolicy::NearestFirst);
-        let mut lu_hier = lua.clone();
-        lu_anchored(&pool, &mut lu_hier, base, &cfg);
-        assert_eq!(
-            lu_flat.max_abs_diff(&lu_hier),
-            0.0,
-            "executors disagree on LU — scheduling must not change results"
-        );
-    }
-
-    let m = measure_flat(&machine, reps, |pool| {
-        let mut a = lua.clone();
-        lu_parallel(pool, &mut a, Mode::Nd, base);
-        std::hint::black_box(&a);
-    });
-    record(measurement_json("lu", "flat-ws", &layout, workers, &m));
-
-    let m = measure_anchored(&machine, reps, |pool| {
-        let mut a = lua.clone();
-        lu_anchored(pool, &mut a, base, &cfg);
-        std::hint::black_box(&a);
-    });
-    record(measurement_json("lu", "nd-exec", &layout, workers, &m));
-
-    // ------------------------------------------------------------- 2-D FW ----
     let d0 = random_digraph(n, 4, 6);
-
-    let mut d_flat = d0.clone();
-    {
-        let pool = ThreadPool::new(workers);
-        apsp_parallel(&pool, &mut d_flat, Mode::Nd, base);
+    type Run<'a> = &'a dyn Fn(&dyn Executor) -> Matrix;
+    let algorithms: [(&str, Run<'_>); 4] = [
+        ("mm", &|exec| {
+            let mut c = Matrix::zeros(n, n);
+            multiply_parallel(exec, &a, &b, &mut c, Mode::Nd, base);
+            c
+        }),
+        ("cholesky", &|exec| {
+            let mut l = spd.clone();
+            cholesky_parallel(exec, &mut l, Mode::Nd, base);
+            l
+        }),
+        ("lu", &|exec| {
+            let mut f = lua.clone();
+            lu_parallel(exec, &mut f, Mode::Nd, base);
+            f
+        }),
+        ("fw2d", &|exec| {
+            let mut d = d0.clone();
+            apsp_parallel(exec, &mut d, Mode::Nd, base);
+            d
+        }),
+    ];
+    for (alg, run) in algorithms {
+        measure(&machine, reps, alg, run, |executor, m| {
+            let line = measurement_json(alg, executor, &layout, workers, &m);
+            println!("{line}");
+            measurements.push(line);
+        });
     }
-    {
-        let pool = HierarchicalPool::new(machine.clone(), StealPolicy::NearestFirst);
-        let mut d_hier = d0.clone();
-        apsp_anchored(&pool, &mut d_hier, base, &cfg);
-        assert_eq!(
-            d_flat.max_abs_diff(&d_hier),
-            0.0,
-            "executors disagree on APSP — scheduling must not change results"
-        );
-    }
-
-    let m = measure_flat(&machine, reps, |pool| {
-        let mut d = d0.clone();
-        apsp_parallel(pool, &mut d, Mode::Nd, base);
-        std::hint::black_box(&d);
-    });
-    record(measurement_json("fw2d", "flat-ws", &layout, workers, &m));
-
-    let m = measure_anchored(&machine, reps, |pool| {
-        let mut d = d0.clone();
-        apsp_anchored(pool, &mut d, base, &cfg);
-        std::hint::black_box(&d);
-    });
-    record(measurement_json("fw2d", "nd-exec", &layout, workers, &m));
 
     // -------------------------------- tile-packed layout (E18) ----
     eprintln!("exp_exec: layout section (row-major vs tile-packed)");

@@ -30,14 +30,12 @@
 //! (default 256, 3).
 
 use nd_algorithms::common::{BuiltAlgorithm, Mode};
-use nd_algorithms::driver;
+use nd_algorithms::driver::{self, Executor};
 use nd_algorithms::exec::ExecContext;
 use nd_algorithms::fw2d::{apsp_parallel, build_fw2d};
 use nd_algorithms::lu::{build_lu, lu_parallel};
 use nd_algorithms::mm::{build_mm, multiply_parallel};
-use nd_exec::execute::{apsp_anchored, lu_anchored, multiply_anchored};
-use nd_exec::pool::flat_topology_with_distances;
-use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nd_bench::EXECUTORS;
 use nd_linalg::fw::random_digraph;
 use nd_linalg::gemm::{gemm_block_packed, gemm_pack_len};
 use nd_linalg::simd;
@@ -45,7 +43,6 @@ use nd_linalg::Matrix;
 use nd_pmh::config::{CacheLevelSpec, PmhConfig};
 use nd_pmh::machine::MachineTree;
 use nd_runtime::pool::with_pack_scratch;
-use nd_runtime::ThreadPool;
 use nd_trace::Trace;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -244,127 +241,61 @@ impl Inputs {
     }
 }
 
-/// One configuration measured on the flat (ring-stealing) pool: `reps` timed
-/// untraced repetitions, then one traced repetition for the histogram and the
-/// busy/steal/idle split.
-fn measure_flat(
-    machine: &MachineTree,
+/// One configuration measured on one executor: `reps` timed untraced
+/// repetitions, then one traced repetition for the histogram and the
+/// busy/steal/idle split.  A failed traced run aborts the study rather than
+/// publishing the trace of a half-executed graph.
+fn measure(
+    exec: &dyn Executor,
     alg: Alg,
     inputs: &Inputs,
     n: usize,
     base: usize,
     reps: usize,
 ) -> (f64, f64, u64, u64, String) {
-    let pool = ThreadPool::with_topology(flat_topology_with_distances(machine));
-    let before = pool.steals_by_distance();
+    let before = exec.pool().steals_by_distance();
     let (best, mean) = time_reps(reps, || match alg {
         Alg::Mm => {
             let mut c = Matrix::zeros(n, n);
-            multiply_parallel(&pool, &inputs.a, &inputs.b, &mut c, Mode::Nd, base);
+            multiply_parallel(exec, &inputs.a, &inputs.b, &mut c, Mode::Nd, base);
             std::hint::black_box(&c);
         }
         Alg::Lu => {
             let mut a = inputs.lua.clone();
-            lu_parallel(&pool, &mut a, Mode::Nd, base);
+            lu_parallel(exec, &mut a, Mode::Nd, base);
             std::hint::black_box(&a);
         }
         Alg::Fw2d => {
             let mut d = inputs.d0.clone();
-            apsp_parallel(&pool, &mut d, Mode::Nd, base);
+            apsp_parallel(exec, &mut d, Mode::Nd, base);
             std::hint::black_box(&d);
         }
     });
-    let after = pool.steals_by_distance();
+    let after = exec.pool().steals_by_distance();
     let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
 
     let built = alg.build(n, base);
-    let trace = match alg {
-        Alg::Mm => {
-            let mut c = Matrix::zeros(n, n);
-            let mut am = inputs.a.clone();
-            let mut bm = inputs.b.clone();
-            let ctx = ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]);
-            let (stats, trace) = driver::run_once_traced(&pool, &built, &ctx);
-            stats.expect("traced mm run");
-            trace
+    let traced = |ctx: &ExecContext| {
+        let (stats, trace) = driver::run_once_traced(exec, &built, ctx);
+        if let Err(e) = stats {
+            panic!("traced {} run failed: {e}", alg.name());
         }
-        Alg::Lu => {
-            let mut a = inputs.lua.clone();
-            let ctx = ExecContext::with_pivots(&mut [&mut a], n);
-            let (stats, trace) = driver::run_once_traced(&pool, &built, &ctx);
-            stats.expect("traced lu run");
-            trace
-        }
-        Alg::Fw2d => {
-            let mut d = inputs.d0.clone();
-            let ctx = ExecContext::from_matrices(&mut [&mut d]);
-            let (stats, trace) = driver::run_once_traced(&pool, &built, &ctx);
-            stats.expect("traced fw2d run");
-            trace
-        }
+        trace
     };
-    (
-        best,
-        mean,
-        delta.iter().sum(),
-        cross_steals(&delta),
-        trace_summary_json(&trace),
-    )
-}
-
-/// One configuration measured on the anchored (nearest-cluster-first) pool.
-fn measure_anchored(
-    machine: &MachineTree,
-    alg: Alg,
-    inputs: &Inputs,
-    n: usize,
-    base: usize,
-    reps: usize,
-    cfg: &AnchorConfig,
-) -> (f64, f64, u64, u64, String) {
-    let pool = HierarchicalPool::new(machine.clone(), StealPolicy::NearestFirst);
-    let before = pool.steals_by_distance();
-    let (best, mean) = time_reps(reps, || match alg {
-        Alg::Mm => {
-            let mut c = Matrix::zeros(n, n);
-            multiply_anchored(&pool, &inputs.a, &inputs.b, &mut c, base, cfg);
-            std::hint::black_box(&c);
-        }
-        Alg::Lu => {
-            let mut a = inputs.lua.clone();
-            lu_anchored(&pool, &mut a, base, cfg);
-            std::hint::black_box(&a);
-        }
-        Alg::Fw2d => {
-            let mut d = inputs.d0.clone();
-            apsp_anchored(&pool, &mut d, base, cfg);
-            std::hint::black_box(&d);
-        }
-    });
-    let after = pool.steals_by_distance();
-    let delta: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-
-    let built = alg.build(n, base);
     let trace = match alg {
         Alg::Mm => {
             let mut c = Matrix::zeros(n, n);
             let mut am = inputs.a.clone();
             let mut bm = inputs.b.clone();
-            let ctx = ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]);
-            let (_, trace) = nd_exec::execute::run_anchored_traced(&pool, &built, &ctx, cfg);
-            trace
+            traced(&ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]))
         }
         Alg::Lu => {
             let mut a = inputs.lua.clone();
-            let ctx = ExecContext::with_pivots(&mut [&mut a], n);
-            let (_, trace) = nd_exec::execute::run_anchored_traced(&pool, &built, &ctx, cfg);
-            trace
+            traced(&ExecContext::with_pivots(&mut [&mut a], n))
         }
         Alg::Fw2d => {
             let mut d = inputs.d0.clone();
-            let ctx = ExecContext::from_matrices(&mut [&mut d]);
-            let (_, trace) = nd_exec::execute::run_anchored_traced(&pool, &built, &ctx, cfg);
-            trace
+            traced(&ExecContext::from_matrices(&mut [&mut d]))
         }
     };
     (
@@ -509,7 +440,6 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
-    let cfg = AnchorConfig::default();
     let host_parallelism = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
@@ -558,36 +488,24 @@ kernel {}",
                     "exp_scaling: {mode} {} p={p} n={n_run} (base {base})",
                     alg.name()
                 );
-                let (best, mean, steals, cross, trace) =
-                    measure_flat(&machine, alg, &inputs, n_run, base, reps);
-                entries.push(ScalingEntry {
-                    mode,
-                    algorithm: alg.name(),
-                    executor: "flat-ws",
-                    workers: p,
-                    n: n_run,
-                    best_seconds: best,
-                    mean_seconds: mean,
-                    total_steals: steals,
-                    cross_cluster_steals: cross,
-                    rel_vs_p1: 1.0,
-                    trace_json: trace,
-                });
-                let (best, mean, steals, cross, trace) =
-                    measure_anchored(&machine, alg, &inputs, n_run, base, reps, &cfg);
-                entries.push(ScalingEntry {
-                    mode,
-                    algorithm: alg.name(),
-                    executor: "nd-exec",
-                    workers: p,
-                    n: n_run,
-                    best_seconds: best,
-                    mean_seconds: mean,
-                    total_steals: steals,
-                    cross_cluster_steals: cross,
-                    rel_vs_p1: 1.0,
-                    trace_json: trace,
-                });
+                for (executor, make) in EXECUTORS {
+                    let exec = make(&machine);
+                    let (best, mean, steals, cross, trace) =
+                        measure(&*exec, alg, &inputs, n_run, base, reps);
+                    entries.push(ScalingEntry {
+                        mode,
+                        algorithm: alg.name(),
+                        executor,
+                        workers: p,
+                        n: n_run,
+                        best_seconds: best,
+                        mean_seconds: mean,
+                        total_steals: steals,
+                        cross_cluster_steals: cross,
+                        rel_vs_p1: 1.0,
+                        trace_json: trace,
+                    });
+                }
             }
         }
     }

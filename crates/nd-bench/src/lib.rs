@@ -58,7 +58,35 @@
 //! The Criterion benches in `benches/` measure the real-runtime wall-clock
 //! counterparts (E12) and the model-construction costs.
 
+use nd_algorithms::driver::Executor;
 use nd_core::work_span::fit_power_law;
+use nd_exec::pool::flat_topology_with_distances;
+use nd_exec::{HierarchicalPool, StealPolicy};
+use nd_pmh::machine::MachineTree;
+use nd_runtime::ThreadPool;
+
+/// A constructor of one executor on a machine tree.
+pub type MakeExecutor = fn(&MachineTree) -> Box<dyn Executor>;
+
+/// The two executors `exp_exec` and `exp_scaling` compare, keyed by their
+/// JSON `executor` name: flat ring-order work stealing on a pool that still
+/// classifies its steals by the machine's distance matrix (`flat-ws`), and
+/// the `σ·M_i`-anchored, nearest-cluster-first pool of `nd-exec`
+/// (`nd-exec`).  They are constructors, so each measurement builds its own
+/// pool and drops it before the next one starts.
+pub const EXECUTORS: [(&str, MakeExecutor); 2] = [
+    ("flat-ws", |machine| {
+        Box::new(ThreadPool::with_topology(flat_topology_with_distances(
+            machine,
+        )))
+    }),
+    ("nd-exec", |machine| {
+        Box::new(HierarchicalPool::new(
+            machine.clone(),
+            StealPolicy::NearestFirst,
+        ))
+    }),
+];
 
 /// Formats a `(x, y)` series with a fitted power-law exponent, for the experiment
 /// tables.

@@ -14,9 +14,22 @@
 //! steals (distance ≥ 1) are exactly the locality violations flat work
 //! stealing commits freely; [`StealPolicy::Strict`] forbids them outright,
 //! which is the paper's anchoring property enforced to the letter.
+//!
+//! The pool is an [`Executor`]: passing `&HierarchicalPool` to any driver of
+//! `nd-algorithms` (`run_once`, `run_once_traced`, `run_once_on_layout`, the
+//! `*_parallel` wrappers) runs the algorithm under the default `σ·M_i`
+//! anchoring ([`compute_anchoring`] with [`AnchorConfig::default`]), every
+//! strand routed to its anchor subcluster.  For another `σ`, call
+//! [`compute_anchoring`] and [`driver::compile_placed`] directly.
+//!
+//! [`driver::compile_placed`]: nd_algorithms::driver::compile_placed
 
-use nd_pmh::machine::{MachineTree, ProcId};
+use crate::anchor::{compute_anchoring, AnchorConfig};
+use nd_algorithms::common::BuiltAlgorithm;
+use nd_algorithms::driver::Executor;
+use nd_pmh::machine::{CacheId, MachineTree, ProcId};
 use nd_pmh::topology::detect_host;
+use nd_runtime::dataflow::Placement;
 use nd_runtime::pool::{Job, PoolTopology, ThreadPool};
 
 /// How far idle workers may steal.
@@ -93,6 +106,28 @@ impl HierarchicalPool {
     /// [`StealPolicy::Strict`].
     pub fn cross_cluster_steals(&self) -> u64 {
         self.steals_by_distance().iter().skip(1).sum()
+    }
+}
+
+/// The anchored executor: every strand pinned to the subcluster of its
+/// `σ·M_i`-maximal task (default [`AnchorConfig`]).
+impl Executor for HierarchicalPool {
+    fn pool(&self) -> &ThreadPool {
+        &self.pool
+    }
+
+    fn placement(&self, built: &BuiltAlgorithm) -> Vec<Placement> {
+        compute_anchoring(
+            &built.tree,
+            &built.dag,
+            &self.machine,
+            &AnchorConfig::default(),
+        )
+        .placement
+    }
+
+    fn group_level(&self, group: u32) -> u8 {
+        self.machine.cache(CacheId(group)).level as u8
     }
 }
 
@@ -292,6 +327,66 @@ mod tests {
             "strict run leaked work: {counts:?}"
         );
         assert!(counts[2..].iter().all(|&c| c == 0));
+    }
+
+    fn serial_mm(a: &nd_linalg::Matrix, b: &nd_linalg::Matrix) -> nd_linalg::Matrix {
+        let mut expected = nd_linalg::Matrix::zeros(a.rows(), b.cols());
+        // SAFETY: the three views are of distinct, live matrices.
+        unsafe {
+            nd_linalg::gemm::gemm_block(
+                expected.as_ptr_view(),
+                a.clone().as_ptr_view(),
+                b.clone().as_ptr_view(),
+                1.0,
+            );
+        }
+        expected
+    }
+
+    /// An anchored MM on a `Strict` pool: no steal ever leaves a level-1
+    /// subcluster, and the result is still the serial kernel's bits.
+    #[test]
+    fn strict_policy_never_crosses_clusters() {
+        use nd_algorithms::{common::Mode, mm::multiply_parallel};
+        use nd_linalg::Matrix;
+
+        let pool = HierarchicalPool::new(machine(), StealPolicy::Strict);
+        let a = Matrix::random(64, 64, 8);
+        let b = Matrix::random(64, 64, 9);
+        let mut c = Matrix::zeros(64, 64);
+        multiply_parallel(&pool, &a, &b, &mut c, Mode::Nd, 8);
+        assert_eq!(
+            pool.cross_cluster_steals(),
+            0,
+            "strict anchoring must keep every strand inside its subcluster"
+        );
+        assert_eq!(c.max_abs_diff(&serial_mm(&a, &b)), 0.0);
+    }
+
+    /// Every steal of an anchored run is classified: the run's
+    /// distance-histogram delta sums to the run's steal count.
+    #[test]
+    fn steal_histogram_sums_to_the_run_steals() {
+        use nd_algorithms::{common::Mode, driver, exec::ExecContext, mm::build_mm};
+        use nd_linalg::Matrix;
+
+        let pool = HierarchicalPool::new(machine(), StealPolicy::NearestFirst);
+        let built = build_mm(64, 8, Mode::Nd, 1.0);
+        let a = Matrix::random(64, 64, 10);
+        let b = Matrix::random(64, 64, 11);
+        let mut c = Matrix::zeros(64, 64);
+        let (mut am, mut bm) = (a.clone(), b.clone());
+        let ctx = ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]);
+        let before = pool.steals_by_distance();
+        let stats = driver::run_once(&pool, &built, &ctx).expect("anchored run");
+        let after = pool.steals_by_distance();
+        let classified: u64 = after.iter().zip(&before).map(|(x, y)| x - y).sum();
+        assert_eq!(classified, stats.steals);
+        assert_eq!(
+            stats.tasks,
+            stats.tasks_per_worker.iter().sum::<u64>() as usize
+        );
+        assert_eq!(c.max_abs_diff(&serial_mm(&a, &b)), 0.0);
     }
 
     #[test]

@@ -214,7 +214,7 @@ mod tests {
     }
 
     #[test]
-    fn per_strand_model_charges_more_than_anchored() {
+    fn per_strand_model_charges_more_than_the_anchored_model() {
         let (tree, dag, cfg) = setup();
         let anchored = StrandCosts::compute(&tree, &dag, &cfg, 1.0, MissModel::Anchored);
         let per_strand = StrandCosts::compute(&tree, &dag, &cfg, 1.0, MissModel::PerStrand);

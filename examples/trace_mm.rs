@@ -9,10 +9,10 @@
 //! 65536 events).
 
 use nested_dataflow::algorithms::common::Mode;
+use nested_dataflow::algorithms::driver::run_once_traced;
 use nested_dataflow::algorithms::exec::ExecContext;
 use nested_dataflow::algorithms::mm::build_mm;
-use nested_dataflow::exec::execute::run_anchored_traced;
-use nested_dataflow::exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nested_dataflow::exec::{HierarchicalPool, StealPolicy};
 use nested_dataflow::linalg::Matrix;
 use nested_dataflow::pmh::topology::detect_host;
 use nested_dataflow::trace::{chrome_trace_json, metrics_summary_json};
@@ -45,12 +45,14 @@ fn main() {
     let ctx = ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]);
     let built = build_mm(n, base, Mode::Nd, 1.0);
 
-    let (stats, trace) = run_anchored_traced(&pool, &built, &ctx, &AnchorConfig::default());
+    // The anchored pool is the executor: the trace carries each strand's
+    // anchor group and level next to the flat columns.
+    let (stats, trace) = run_once_traced(&pool, &built, &ctx);
     let stats = stats.expect("algorithm strand panicked");
 
     println!(
         "executed {} tasks in {:.3} ms wall ({} events collected, {} dropped)",
-        stats.exec.tasks,
+        stats.tasks,
         trace.wall_ns as f64 / 1e6,
         trace.events.len(),
         trace.dropped,
@@ -60,7 +62,7 @@ fn main() {
         trace.metrics.critical_path_ns as f64 / 1e6,
         trace.metrics.critical_path_tasks,
         trace.metrics.steals,
-        stats.cross_cluster_steals(),
+        pool.cross_cluster_steals(), // the fresh pool has run nothing else
     );
 
     println!("\nworker  tasks  inline   busy_ms  steal_ms   idle_ms  steals");

@@ -36,8 +36,7 @@
 //!
 //! ```
 //! use nested_dataflow::prelude::*;
-//! use nested_dataflow::algorithms::trs::build_trs;
-//! use nested_dataflow::exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+//! use nested_dataflow::algorithms::trs::{build_trs, solve_parallel};
 //! use nested_dataflow::linalg::Matrix;
 //!
 //! // One algorithm, built once: TRS (triangular solve), n = 64, base case 8,
@@ -57,14 +56,16 @@
 //! let x_true = Matrix::random(64, 64, 2);
 //! let b = t.matmul(&x_true);
 //! let mut x = b.clone();
-//! nested_dataflow::exec::execute::solve_anchored(&pool, &t, &mut x, 8, &AnchorConfig::default());
+//! solve_parallel(&pool, &t, &mut x, Mode::Nd, 8);
 //! assert!(x.max_abs_diff(&x_true) < 1e-7); // the real run solved the system
 //! ```
 //!
-//! The flat (locality-blind) executor remains available through
-//! [`runtime`]'s [`ThreadPool`](prelude::ThreadPool) and the `*_parallel`
-//! drivers in [`algorithms`]; `nd-bench`'s `exp_exec` binary compares the two
-//! executors head to head.
+//! The executor is an argument: the `*_parallel` drivers in [`algorithms`]
+//! take any [`Executor`](algorithms::driver::Executor), so passing
+//! [`runtime`]'s flat, locality-blind [`ThreadPool`](prelude::ThreadPool)
+//! instead of the [`HierarchicalPool`](prelude::HierarchicalPool) runs the
+//! same DAG under plain work stealing; `nd-bench`'s `exp_exec` binary
+//! compares the two executors head to head.
 
 pub use nd_algorithms as algorithms;
 pub use nd_core as core;

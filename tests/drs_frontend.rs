@@ -30,7 +30,7 @@ use nd_algorithms::driver;
 use nd_algorithms::exec::ExecContext;
 use nd_algorithms::{fw1d, lcs, mm, trs};
 use nd_core::dag::{AlgorithmDag, DagVertex};
-use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nd_exec::{compute_anchoring, AnchorConfig, HierarchicalPool, StealPolicy};
 use nd_linalg::Matrix;
 use nd_pmh::config::{CacheLevelSpec, PmhConfig};
 use nd_pmh::machine::MachineTree;
@@ -176,8 +176,9 @@ fn lcs_drs_equals_access_oracle() {
 // ---------------------------------------------------------------------------
 
 /// Runs `built` once per pool size (compile path) plus three reuse rounds on
-/// the largest pool, re-initialising the bound data in place between runs,
-/// and asserts every captured snapshot equals the 1-worker reference.
+/// each pool, then once on the anchored executor of both machine layouts,
+/// re-initialising the bound data in place between runs, and asserts every
+/// captured snapshot equals the 1-worker reference.
 fn assert_schedule_independent<D, S>(
     built: &BuiltAlgorithm,
     ctx: &ExecContext,
@@ -213,6 +214,27 @@ where
             built.label
         );
     }
+
+    // Anchored execution on two machine layouts: the same program and
+    // context, every strand pinned to its `σ·M_i` anchor subcluster.
+    for machine in layouts() {
+        let anchoring =
+            compute_anchoring(&built.tree, &built.dag, &machine, &AnchorConfig::default());
+        assert!(
+            anchoring.anchors_per_level.iter().all(|&x| x > 0),
+            "{}: every cache level anchors a task",
+            built.label
+        );
+        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
+        reinit(data, 0);
+        driver::run_once(&pool, built, ctx).expect("run");
+        assert_eq!(
+            capture(data, 0),
+            reference,
+            "{}: anchored run diverged",
+            built.label
+        );
+    }
     reference
 }
 
@@ -235,22 +257,6 @@ fn mm_fire_program_runs_all_three_paths() {
     let mut expected = Matrix::zeros(n, n);
     nd_linalg::gemm::gemm_naive(&mut expected, &a, &b, 1.0, 0.0);
     assert!(reference.max_abs_diff(&expected) < 1e-9);
-
-    // Anchored execution on two machine layouts.
-    for machine in layouts() {
-        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        let mut c2 = Matrix::zeros(n, n);
-        let stats = nd_exec::execute::multiply_anchored(
-            &pool,
-            &a,
-            &b,
-            &mut c2,
-            8,
-            &AnchorConfig::default(),
-        );
-        assert_eq!(c2.max_abs_diff(&reference), 0.0, "anchored MM diverged");
-        assert!(stats.anchors_per_level.iter().all(|&x| x > 0));
-    }
 }
 
 #[test]
@@ -272,13 +278,6 @@ fn trs_fire_program_runs_all_three_paths() {
     let mut expected = b0.clone();
     nd_linalg::trsm::trsm_lower_naive(&t, &mut expected);
     assert!(reference.max_abs_diff(&expected) < 1e-8);
-
-    for machine in layouts() {
-        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        let mut x = b0.clone();
-        nd_exec::execute::solve_anchored(&pool, &t, &mut x, 8, &AnchorConfig::default());
-        assert_eq!(x.max_abs_diff(&reference), 0.0, "anchored TRS diverged");
-    }
 }
 
 #[test]
@@ -297,17 +296,6 @@ fn fw1d_fire_program_runs_all_three_paths() {
     let reference = assert_schedule_independent(&built, &ctx, &mut table, reinit, |t, _| t.clone());
     let expected = nd_linalg::fw::fw1d_naive(&initial);
     assert_eq!(reference.max_abs_diff(&expected), 0.0);
-
-    for machine in layouts() {
-        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        let (table, _) =
-            nd_exec::execute::fw1d_anchored(&pool, &initial, 8, &AnchorConfig::default());
-        assert_eq!(
-            table.max_abs_diff(&reference),
-            0.0,
-            "anchored FW-1D diverged"
-        );
-    }
 }
 
 #[test]
@@ -326,10 +314,4 @@ fn lcs_fire_program_runs_all_three_paths() {
         |table, _| table.clone(),
     );
     assert_eq!(reference[(n, n)] as u64, nd_linalg::lcs::lcs_naive(&s, &t));
-
-    for machine in layouts() {
-        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        let (len, _) = nd_exec::execute::lcs_anchored(&pool, &s, &t, 8, &AnchorConfig::default());
-        assert_eq!(len, reference[(n, n)] as u64, "anchored LCS diverged");
-    }
 }

@@ -146,8 +146,7 @@ fn work_stealing_charges_more_misses_than_space_bounded() {
 fn anchored_executor_matches_flat_executor_across_layouts() {
     use nd_algorithms::cholesky::cholesky_parallel;
     use nd_algorithms::trs::solve_parallel;
-    use nd_exec::execute::{cholesky_anchored, solve_anchored};
-    use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+    use nd_exec::{compute_anchoring, AnchorConfig, HierarchicalPool, StealPolicy};
     use nd_linalg::Matrix;
     use nd_runtime::ThreadPool;
 
@@ -165,17 +164,23 @@ fn anchored_executor_matches_flat_executor_across_layouts() {
     for subclusters in [1usize, 2] {
         let machine = MachineTree::build(&PmhConfig::experiment_machine(subclusters));
         let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        let cfg = AnchorConfig::default();
+        let built = build_cholesky(n, 8, Mode::Nd);
+        let anchoring = compute_anchoring(
+            &built.tree,
+            &built.dag,
+            pool.machine(),
+            &AnchorConfig::default(),
+        );
+        assert!(anchoring.anchors_per_level.iter().all(|&c| c > 0));
         let mut l = a.clone();
-        let stats = cholesky_anchored(&pool, &mut l, 8, &cfg);
+        cholesky_parallel(&pool, &mut l, Mode::Nd, 8);
         assert_eq!(
             l.max_abs_diff(&l_flat),
             0.0,
             "factor must match bit-for-bit"
         );
-        assert!(stats.anchors_per_level.iter().all(|&c| c > 0));
         let mut x = b.clone();
-        solve_anchored(&pool, &l, &mut x, 8, &cfg);
+        solve_parallel(&pool, &l, &mut x, Mode::Nd, 8);
         assert_eq!(x.max_abs_diff(&x_flat), 0.0, "solve must match bit-for-bit");
     }
 }

@@ -1,14 +1,16 @@
 //! Acceptance tests for the tile-packed storage layout: every algorithm in
 //! the repository (MM, TRS, Cholesky, LU, 2-D Floyd–Warshall, LCS, 1-D
 //! Floyd–Warshall) must produce **bit-identical** results on the row-major
-//! and tile-packed layouts — on the flat executor across the pool-size matrix
-//! (1/2/8 workers, or `ND_POOL_WORKERS`), and on the anchored executor across
-//! both machine layouts.  Packing moves bytes; it must never change a single
-//! floating-point operation.
+//! and tile-packed layouts, in both the NP and ND models, and bit-identical
+//! to the one-worker row-major run of the same model — on every executor:
+//! the flat pool across the pool-size matrix (1/2/8 workers, or
+//! `ND_POOL_WORKERS`) and the anchored pool on both machine layouts.
+//! Packing and placement move bytes and strands; they must never change a
+//! single floating-point operation.
 
 use nd_algorithms::cholesky::build_cholesky;
 use nd_algorithms::common::{BuiltAlgorithm, Mode};
-use nd_algorithms::driver::{run_once_on_layout, ContextExtras, LayoutRun};
+use nd_algorithms::driver::{run_once_on_layout, ContextExtras, Executor};
 use nd_algorithms::exec::Layout;
 use nd_algorithms::fw1d::build_fw1d;
 use nd_algorithms::fw2d::build_fw2d;
@@ -16,8 +18,7 @@ use nd_algorithms::lcs::build_lcs;
 use nd_algorithms::lu::{assemble_global_pivots, build_lu};
 use nd_algorithms::mm::build_mm;
 use nd_algorithms::trs::build_trs;
-use nd_exec::execute::run_anchored_on_layout;
-use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nd_exec::{HierarchicalPool, StealPolicy};
 use nd_linalg::lcs::random_sequence;
 use nd_linalg::Matrix;
 use nd_pmh::config::{CacheLevelSpec, PmhConfig};
@@ -26,8 +27,25 @@ use nd_runtime::ThreadPool;
 
 mod common;
 
-/// The two worker-cluster layouts the anchored assertions run on: a single
-/// socket of 2×2 workers and a dual-socket machine of 2×(2×2) workers.
+/// Every executor the assertions run on, built lazily one at a time: flat
+/// pools across the pool-size matrix, then anchored pools on a single socket
+/// of 2×2 workers and on a dual-socket machine of 2×(2×2) workers.
+fn executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
+    let flat = common::pool_sizes().into_iter().map(|workers| {
+        let exec: Box<dyn Executor> = Box::new(ThreadPool::new(workers));
+        (format!("flat, {workers} workers"), exec)
+    });
+    let anchored = machine_layouts()
+        .into_iter()
+        .enumerate()
+        .map(|(i, machine)| {
+            let exec: Box<dyn Executor> =
+                Box::new(HierarchicalPool::new(machine, StealPolicy::NearestFirst));
+            (format!("anchored, machine {i}"), exec)
+        });
+    flat.chain(anchored)
+}
+
 fn machine_layouts() -> Vec<MachineTree> {
     vec![
         MachineTree::build(&PmhConfig::new(
@@ -57,7 +75,7 @@ struct Case {
     tile: usize,
 }
 
-fn all_seven(n: usize, base: usize) -> Vec<Case> {
+fn all_seven(n: usize, base: usize, mode: Mode) -> Vec<Case> {
     let a = Matrix::random(n, n, 1);
     let b = Matrix::random(n, n, 2);
     let seq_extras = || ContextExtras::Sequences(random_sequence(32, 41), random_sequence(32, 42));
@@ -71,14 +89,14 @@ fn all_seven(n: usize, base: usize) -> Vec<Case> {
     vec![
         Case {
             name: "mm",
-            built: build_mm(n, base, Mode::Nd, 1.0),
+            built: build_mm(n, base, mode, 1.0),
             mats: vec![Matrix::zeros(n, n), a.clone(), b.clone()],
             extras_fn: || ContextExtras::None,
             tile: base,
         },
         Case {
             name: "trs",
-            built: build_trs(n, base, Mode::Nd),
+            built: build_trs(n, base, mode),
             mats: vec![
                 Matrix::random_lower_triangular(n, 3),
                 Matrix::random(n, n, 4),
@@ -88,35 +106,35 @@ fn all_seven(n: usize, base: usize) -> Vec<Case> {
         },
         Case {
             name: "cholesky",
-            built: build_cholesky(n, base, Mode::Nd),
+            built: build_cholesky(n, base, mode),
             mats: vec![Matrix::random_spd(n, 5)],
             extras_fn: || ContextExtras::None,
             tile: base,
         },
         Case {
             name: "lu",
-            built: build_lu(n, base, Mode::Nd),
+            built: build_lu(n, base, mode),
             mats: vec![Matrix::random(n, n, 6)],
             extras_fn: || ContextExtras::None, // pivots added per run (need n)
             tile: base,
         },
         Case {
             name: "fw2d",
-            built: build_fw2d(n, base, Mode::Nd),
+            built: build_fw2d(n, base, mode),
             mats: vec![nd_linalg::fw::random_digraph(n, 3, 7)],
             extras_fn: || ContextExtras::None,
             tile: base,
         },
         Case {
             name: "lcs",
-            built: build_lcs(32, 8, Mode::Nd),
+            built: build_lcs(32, 8, mode),
             mats: vec![Matrix::zeros(33, 33)],
             extras_fn: seq_extras,
             tile: 8,
         },
         Case {
             name: "fw1d",
-            built: build_fw1d(n, base, Mode::Nd),
+            built: build_fw1d(n, base, mode),
             mats: vec![fw1d_table],
             extras_fn: || ContextExtras::None,
             tile: base,
@@ -132,12 +150,14 @@ fn extras_for(case: &Case, n: usize) -> ContextExtras {
     }
 }
 
-fn run_flat(pool: &ThreadPool, case: &Case, layout: Layout, n: usize) -> (Vec<Matrix>, Vec<usize>) {
+/// Runs one case on `exec` on the given layout; returns its matrices and,
+/// for LU, the global pivots.
+fn run(exec: &dyn Executor, case: &Case, layout: Layout, n: usize) -> (Vec<Matrix>, Vec<usize>) {
     let mut mats = case.mats.clone();
-    let run: LayoutRun = {
+    let run = {
         let mut refs: Vec<&mut Matrix> = mats.iter_mut().collect();
         run_once_on_layout(
-            pool,
+            exec,
             &case.built,
             &mut refs,
             case.tile,
@@ -145,6 +165,7 @@ fn run_flat(pool: &ThreadPool, case: &Case, layout: Layout, n: usize) -> (Vec<Ma
             extras_for(case, n),
         )
     };
+    assert!(run.stats.tasks > 0, "{}: no tasks ran", case.name);
     let piv = if case.name == "lu" {
         // SAFETY: the execution has completed; no writer holds the store.
         unsafe { assemble_global_pivots(&run.pivots, n, case.tile) }
@@ -154,107 +175,58 @@ fn run_flat(pool: &ThreadPool, case: &Case, layout: Layout, n: usize) -> (Vec<Ma
     (mats, piv)
 }
 
-/// Flat executor: row-major vs tile-packed, bit-identical, for every worker
-/// count of the pool matrix.
-#[test]
-fn all_seven_algorithms_bit_identical_across_layouts_flat() {
-    let n = 32;
-    let base = 8;
-    for workers in common::pool_sizes() {
-        let pool = ThreadPool::new(workers);
-        for case in all_seven(n, base) {
-            let (row, row_piv) = run_flat(&pool, &case, Layout::RowMajor, n);
-            let (tiled, tiled_piv) = run_flat(&pool, &case, Layout::Tiled, n);
-            for (i, (r, t)) in row.iter().zip(tiled.iter()).enumerate() {
-                assert_eq!(
-                    r.max_abs_diff(t),
-                    0.0,
-                    "{} matrix {i} differs between layouts ({workers} workers)",
-                    case.name
-                );
-            }
-            assert_eq!(
-                row_piv, tiled_piv,
-                "{} pivots differ between layouts ({workers} workers)",
-                case.name
-            );
-        }
+/// Asserts two runs of `case` produced the same bits and the same pivots.
+fn assert_identical(
+    case: &Case,
+    what: &str,
+    a: &(Vec<Matrix>, Vec<usize>),
+    b: &(Vec<Matrix>, Vec<usize>),
+) {
+    for (i, (x, y)) in a.0.iter().zip(b.0.iter()).enumerate() {
+        assert_eq!(x.max_abs_diff(y), 0.0, "{} matrix {i}: {what}", case.name);
     }
+    assert_eq!(a.1, b.1, "{} pivots: {what}", case.name);
 }
 
-/// Anchored executor, both machine layouts: row-major vs tile-packed under
-/// `σ·M_i` placement must stay bit-identical — anchoring and contiguous tiles
-/// compose.
+/// Row-major vs tile-packed, bit-identical, in both models on every
+/// executor — anchoring and contiguous tiles compose.
 #[test]
-fn all_seven_algorithms_bit_identical_across_layouts_anchored() {
+fn all_seven_algorithms_bit_identical_across_layouts() {
     let n = 32;
     let base = 8;
-    let cfg = AnchorConfig::default();
-    for machine in machine_layouts() {
-        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        for case in all_seven(n, base) {
-            let mut results = Vec::new();
-            for layout in [Layout::RowMajor, Layout::Tiled] {
-                let mut mats = case.mats.clone();
-                let (stats, pivots) = {
-                    let mut refs: Vec<&mut Matrix> = mats.iter_mut().collect();
-                    run_anchored_on_layout(
-                        &pool,
-                        &case.built,
-                        &mut refs,
-                        case.tile,
-                        layout,
-                        extras_for(&case, n),
-                        &cfg,
-                    )
-                };
-                assert!(stats.exec.tasks > 0, "{}: no tasks ran", case.name);
-                let piv = if case.name == "lu" {
-                    // SAFETY: the execution has completed.
-                    unsafe { assemble_global_pivots(&pivots, n, case.tile) }
-                } else {
-                    Vec::new()
-                };
-                results.push((mats, piv));
+    for (name, exec) in executors() {
+        for mode in [Mode::Np, Mode::Nd] {
+            for case in all_seven(n, base, mode) {
+                let row = run(&*exec, &case, Layout::RowMajor, n);
+                let tiled = run(&*exec, &case, Layout::Tiled, n);
+                let what = format!("{mode:?} layouts differ ({name})");
+                assert_identical(&case, &what, &row, &tiled);
             }
-            let (row, row_piv) = &results[0];
-            let (tiled, tiled_piv) = &results[1];
-            for (i, (r, t)) in row.iter().zip(tiled.iter()).enumerate() {
-                assert_eq!(
-                    r.max_abs_diff(t),
-                    0.0,
-                    "{} matrix {i} differs between layouts (anchored)",
-                    case.name
-                );
-            }
-            assert_eq!(row_piv, tiled_piv, "{} pivots differ (anchored)", case.name);
         }
     }
 }
 
 /// The tiled layout agrees with the plain serial oracles (sanity beyond
 /// layout-vs-layout identity): one-worker row-major is the established
-/// bit-exact reference for every algorithm, so tiled multi-worker must match
-/// one-worker row-major exactly.
+/// bit-exact reference for every algorithm, so tiled runs on every executor
+/// must match it exactly — flat and anchored alike.
 #[test]
 fn tiled_layout_matches_one_worker_row_major_reference() {
     let n = 32;
     let base = 8;
     let reference_pool = ThreadPool::new(1);
-    for workers in common::pool_sizes() {
-        let pool = ThreadPool::new(workers);
-        for case in all_seven(n, base) {
-            let (reference, ref_piv) = run_flat(&reference_pool, &case, Layout::RowMajor, n);
-            let (tiled, tiled_piv) = run_flat(&pool, &case, Layout::Tiled, n);
-            for (i, (r, t)) in reference.iter().zip(tiled.iter()).enumerate() {
-                assert_eq!(
-                    r.max_abs_diff(t),
-                    0.0,
-                    "{} matrix {i}: tiled/{workers}w differs from 1w row-major",
-                    case.name
-                );
+    for mode in [Mode::Np, Mode::Nd] {
+        let cases = all_seven(n, base, mode);
+        let references: Vec<_> = cases
+            .iter()
+            .map(|case| run(&reference_pool, case, Layout::RowMajor, n))
+            .collect();
+        for (name, exec) in executors() {
+            for (case, reference) in cases.iter().zip(&references) {
+                let tiled = run(&*exec, case, Layout::Tiled, n);
+                let what = format!("{mode:?} tiled ({name}) differs from 1w row-major");
+                assert_identical(case, &what, reference, &tiled);
             }
-            assert_eq!(ref_piv, tiled_piv, "{} pivots differ", case.name);
         }
     }
 }

@@ -4,12 +4,11 @@
 //! property tests mirroring `tests/graph_reuse.rs`.
 
 use nd_algorithms::common::Mode;
-use nd_algorithms::driver::execute_reuse_rounds;
+use nd_algorithms::driver::{execute_reuse_rounds, Executor};
 use nd_algorithms::exec::ExecContext;
 use nd_algorithms::fw2d::{apsp_parallel, build_fw2d};
 use nd_algorithms::lu::{assemble_global_pivots, build_lu, lu_parallel};
-use nd_exec::execute::{apsp_anchored, lu_anchored};
-use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nd_exec::{HierarchicalPool, StealPolicy};
 use nd_linalg::fw::{floyd_warshall_naive, random_digraph};
 use nd_linalg::getrf::{getrf_naive, lu_residual};
 use nd_linalg::Matrix;
@@ -18,6 +17,22 @@ use nd_pmh::machine::MachineTree;
 use nd_runtime::ThreadPool;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// The executors every result must agree across, built lazily one at a
+/// time: flat pools of 2 and 4 workers, then anchored pools on three machine
+/// layouts.
+fn executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
+    let flat = [2usize, 4].into_iter().map(|workers| {
+        let exec: Box<dyn Executor> = Box::new(ThreadPool::new(workers));
+        (format!("flat, workers={workers}"), exec)
+    });
+    let anchored = layouts().into_iter().enumerate().map(|(i, machine)| {
+        let exec: Box<dyn Executor> =
+            Box::new(HierarchicalPool::new(machine, StealPolicy::NearestFirst));
+        (format!("anchored, layout {i}"), exec)
+    });
+    flat.chain(anchored)
+}
 
 fn layouts() -> Vec<MachineTree> {
     vec![
@@ -51,22 +66,11 @@ fn lu_flat_and_anchored_agree_across_layouts() {
     let reference_piv = lu_parallel(&ThreadPool::new(1), &mut reference, Mode::Nd, base);
     assert!(lu_residual(&reference, &reference_piv, &a) < 1e-10);
 
-    for workers in [2usize, 4] {
+    for (name, exec) in executors() {
         let mut lu = a.clone();
-        let piv = lu_parallel(&ThreadPool::new(workers), &mut lu, Mode::Nd, base);
-        assert_eq!(piv, reference_piv, "workers={workers}");
-        assert_eq!(lu.max_abs_diff(&reference), 0.0, "workers={workers}");
-    }
-    for (i, machine) in layouts().into_iter().enumerate() {
-        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        let mut lu = a.clone();
-        let (piv, stats) = lu_anchored(&pool, &mut lu, base, &AnchorConfig::default());
-        assert_eq!(piv, reference_piv, "layout {i}");
-        assert_eq!(lu.max_abs_diff(&reference), 0.0, "layout {i}");
-        assert_eq!(
-            stats.exec.tasks,
-            stats.exec.tasks_per_worker.iter().sum::<u64>() as usize
-        );
+        let piv = lu_parallel(&*exec, &mut lu, Mode::Nd, base);
+        assert_eq!(piv, reference_piv, "{name}");
+        assert_eq!(lu.max_abs_diff(&reference), 0.0, "{name}");
     }
 }
 
@@ -83,16 +87,10 @@ fn apsp_flat_and_anchored_agree_across_layouts() {
     floyd_warshall_naive(&mut naive);
     assert!(reference.max_abs_diff(&naive) < 1e-12);
 
-    for workers in [2usize, 4] {
+    for (name, exec) in executors() {
         let mut d = d0.clone();
-        apsp_parallel(&ThreadPool::new(workers), &mut d, Mode::Nd, base);
-        assert_eq!(d.max_abs_diff(&reference), 0.0, "workers={workers}");
-    }
-    for (i, machine) in layouts().into_iter().enumerate() {
-        let pool = HierarchicalPool::new(machine, StealPolicy::NearestFirst);
-        let mut d = d0.clone();
-        apsp_anchored(&pool, &mut d, base, &AnchorConfig::default());
-        assert_eq!(d.max_abs_diff(&reference), 0.0, "layout {i}");
+        apsp_parallel(&*exec, &mut d, Mode::Nd, base);
+        assert_eq!(d.max_abs_diff(&reference), 0.0, "{name}");
     }
 }
 

@@ -13,9 +13,8 @@
 
 use nd_algorithms::common::Mode;
 use nd_algorithms::mm::multiply_parallel;
-use nd_exec::execute::multiply_anchored;
 use nd_exec::pool::flat_topology_with_distances;
-use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nd_exec::{HierarchicalPool, StealPolicy};
 use nd_linalg::Matrix;
 use nd_pmh::config::{CacheLevelSpec, PmhConfig};
 use nd_pmh::machine::MachineTree;
@@ -69,7 +68,6 @@ fn anchored_steals_are_more_local_than_flat_on_the_two_level_topology() {
     let a = Matrix::random(n, n, 31);
     let b = Matrix::random(n, n, 32);
     let machine = eight_worker_machine();
-    let cfg = AnchorConfig::default();
 
     let mut last: Option<(Vec<u64>, Vec<u64>)> = None;
     for _attempt in 0..3 {
@@ -91,7 +89,7 @@ fn anchored_steals_are_more_local_than_flat_on_the_two_level_topology() {
 
             let before = anch_pool.steals_by_distance();
             let mut c = Matrix::zeros(n, n);
-            multiply_anchored(&anch_pool, &a, &b, &mut c, base, &cfg);
+            multiply_parallel(&anch_pool, &a, &b, &mut c, Mode::Nd, base);
             let after = anch_pool.steals_by_distance();
             let delta: Vec<u64> = after.iter().zip(&before).map(|(x, y)| x - y).collect();
             accumulate(&mut anch_hist, &delta);

@@ -9,8 +9,7 @@ use nd_algorithms::common::Mode;
 use nd_algorithms::driver;
 use nd_algorithms::exec::ExecContext;
 use nd_algorithms::mm::build_mm;
-use nd_exec::execute::run_anchored_traced;
-use nd_exec::{AnchorConfig, HierarchicalPool, StealPolicy};
+use nd_exec::{HierarchicalPool, StealPolicy};
 use nd_linalg::Matrix;
 use nd_pmh::config::{CacheLevelSpec, PmhConfig};
 use nd_pmh::machine::MachineTree;
@@ -181,9 +180,9 @@ fn anchored_mm_chrome_trace_carries_scheduler_columns() {
     let mut am = a.clone();
     let mut bm = b.clone();
     let ctx = ExecContext::from_matrices(&mut [&mut c, &mut am, &mut bm]);
-    let (stats, trace) = run_anchored_traced(&pool, &built, &ctx, &AnchorConfig::default());
+    let (stats, trace) = driver::run_once_traced(&pool, &built, &ctx);
     let stats = stats.expect("traced anchored run");
-    assert!(stats.exec.tasks > 0);
+    assert!(stats.tasks > 0);
     assert_eq!(trace.dropped, 0);
     assert_eq!(trace.num_workers, 2);
 
