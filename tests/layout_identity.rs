@@ -27,23 +27,31 @@ use nd_runtime::ThreadPool;
 
 mod common;
 
-/// Every executor the assertions run on, built lazily one at a time: flat
-/// pools across the pool-size matrix, then anchored pools on a single socket
-/// of 2×2 workers and on a dual-socket machine of 2×(2×2) workers.
-fn executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
-    let flat = common::pool_sizes().into_iter().map(|workers| {
+/// Flat pools across the pool-size matrix, built lazily one at a time.
+fn flat_executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
+    common::pool_sizes().into_iter().map(|workers| {
         let exec: Box<dyn Executor> = Box::new(ThreadPool::new(workers));
         (format!("flat, {workers} workers"), exec)
-    });
-    let anchored = machine_layouts()
+    })
+}
+
+/// Anchored pools on a single socket of 2×2 workers and on a dual-socket
+/// machine of 2×(2×2) workers, built lazily one at a time.
+fn anchored_executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
+    machine_layouts()
         .into_iter()
         .enumerate()
         .map(|(i, machine)| {
             let exec: Box<dyn Executor> =
                 Box::new(HierarchicalPool::new(machine, StealPolicy::NearestFirst));
             (format!("anchored, machine {i}"), exec)
-        });
-    flat.chain(anchored)
+        })
+}
+
+/// Every executor the assertions run on: the flat pools, then the anchored
+/// pools.
+fn executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
+    flat_executors().chain(anchored_executors())
 }
 
 fn machine_layouts() -> Vec<MachineTree> {
@@ -188,13 +196,11 @@ fn assert_identical(
     assert_eq!(a.1, b.1, "{} pivots: {what}", case.name);
 }
 
-/// Row-major vs tile-packed, bit-identical, in both models on every
-/// executor — anchoring and contiguous tiles compose.
-#[test]
-fn all_seven_algorithms_bit_identical_across_layouts() {
+/// Row-major vs tile-packed on `executors`, bit-identical in both models.
+fn assert_layouts_identical(executors: impl Iterator<Item = (String, Box<dyn Executor>)>) {
     let n = 32;
     let base = 8;
-    for (name, exec) in executors() {
+    for (name, exec) in executors {
         for mode in [Mode::Np, Mode::Nd] {
             for case in all_seven(n, base, mode) {
                 let row = run(&*exec, &case, Layout::RowMajor, n);
@@ -204,6 +210,20 @@ fn all_seven_algorithms_bit_identical_across_layouts() {
             }
         }
     }
+}
+
+/// Row-major vs tile-packed, bit-identical, in both models on flat pools of
+/// every pool size.
+#[test]
+fn all_seven_algorithms_bit_identical_across_layouts_flat() {
+    assert_layouts_identical(flat_executors());
+}
+
+/// Row-major vs tile-packed, bit-identical, in both models on anchored pools
+/// on both machine layouts — anchoring and contiguous tiles compose.
+#[test]
+fn all_seven_algorithms_bit_identical_across_layouts_anchored() {
+    assert_layouts_identical(anchored_executors());
 }
 
 /// The tiled layout agrees with the plain serial oracles (sanity beyond
