@@ -329,6 +329,18 @@ mod tests {
         assert!(counts[2..].iter().all(|&c| c == 0));
     }
 
+    /// The dual-socket machine of 2×(2×2) workers with 1 KiB L1s and 16 KiB
+    /// L2s: an MM 64/8 anchors real subtrees at both levels under `σ·M_i`.
+    fn anchoring_machine() -> MachineTree {
+        MachineTree::build(&PmhConfig::new(
+            vec![
+                nd_pmh::config::CacheLevelSpec::new(1 << 10, 2, 10),
+                nd_pmh::config::CacheLevelSpec::new(1 << 14, 2, 100),
+            ],
+            2,
+        ))
+    }
+
     fn serial_mm(a: &nd_linalg::Matrix, b: &nd_linalg::Matrix) -> nd_linalg::Matrix {
         let mut expected = nd_linalg::Matrix::zeros(a.rows(), b.cols());
         // SAFETY: the three views are of distinct, live matrices.
@@ -347,10 +359,20 @@ mod tests {
     /// subcluster, and the result is still the serial kernel's bits.
     #[test]
     fn strict_policy_never_crosses_clusters() {
-        use nd_algorithms::{common::Mode, mm::multiply_parallel};
+        use nd_algorithms::{common::Mode, mm::build_mm, mm::multiply_parallel};
         use nd_linalg::Matrix;
 
-        let pool = HierarchicalPool::new(machine(), StealPolicy::Strict);
+        let machine = anchoring_machine();
+        // The run is really anchored: every cache level pins a task.
+        let built = build_mm(64, 8, Mode::Nd, 1.0);
+        let anchoring = crate::compute_anchoring(
+            &built.tree,
+            &built.dag,
+            &machine,
+            &crate::AnchorConfig::default(),
+        );
+        assert!(anchoring.anchors_per_level.iter().all(|&x| x > 0));
+        let pool = HierarchicalPool::new(machine, StealPolicy::Strict);
         let a = Matrix::random(64, 64, 8);
         let b = Matrix::random(64, 64, 9);
         let mut c = Matrix::zeros(64, 64);
@@ -370,7 +392,7 @@ mod tests {
         use nd_algorithms::{common::Mode, driver, exec::ExecContext, mm::build_mm};
         use nd_linalg::Matrix;
 
-        let pool = HierarchicalPool::new(machine(), StealPolicy::NearestFirst);
+        let pool = HierarchicalPool::new(anchoring_machine(), StealPolicy::NearestFirst);
         let built = build_mm(64, 8, Mode::Nd, 1.0);
         let a = Matrix::random(64, 64, 10);
         let b = Matrix::random(64, 64, 11);

@@ -32,34 +32,11 @@ use nd_algorithms::{fw1d, lcs, mm, trs};
 use nd_core::dag::{AlgorithmDag, DagVertex};
 use nd_exec::{compute_anchoring, AnchorConfig, HierarchicalPool, StealPolicy};
 use nd_linalg::Matrix;
-use nd_pmh::config::{CacheLevelSpec, PmhConfig};
-use nd_pmh::machine::MachineTree;
 use nd_runtime::ThreadPool;
 use std::collections::{BTreeMap, BTreeSet};
 
 mod common;
-use common::pool_sizes;
-
-/// The two machine layouts the anchored runs use: one socket of 2×2 workers
-/// and two sockets of 2×2 workers.
-fn layouts() -> Vec<MachineTree> {
-    vec![
-        MachineTree::build(&PmhConfig::new(
-            vec![
-                CacheLevelSpec::new(1 << 10, 2, 10),
-                CacheLevelSpec::new(1 << 14, 2, 100),
-            ],
-            1,
-        )),
-        MachineTree::build(&PmhConfig::new(
-            vec![
-                CacheLevelSpec::new(1 << 10, 2, 10),
-                CacheLevelSpec::new(1 << 14, 2, 100),
-            ],
-            2,
-        )),
-    ]
-}
+use common::{machine_layouts, pool_sizes};
 
 /// The strand-to-strand precedence relation of a DAG as a transitive closure,
 /// keyed by operation tag (the leaf identity shared by both constructions).
@@ -217,7 +194,7 @@ where
 
     // Anchored execution on two machine layouts: the same program and
     // context, every strand pinned to its `σ·M_i` anchor subcluster.
-    for machine in layouts() {
+    for machine in machine_layouts() {
         let anchoring =
             compute_anchoring(&built.tree, &built.dag, &machine, &AnchorConfig::default());
         assert!(

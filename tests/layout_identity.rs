@@ -18,59 +18,17 @@ use nd_algorithms::lcs::build_lcs;
 use nd_algorithms::lu::{assemble_global_pivots, build_lu};
 use nd_algorithms::mm::build_mm;
 use nd_algorithms::trs::build_trs;
-use nd_exec::{HierarchicalPool, StealPolicy};
 use nd_linalg::lcs::random_sequence;
 use nd_linalg::Matrix;
-use nd_pmh::config::{CacheLevelSpec, PmhConfig};
-use nd_pmh::machine::MachineTree;
 use nd_runtime::ThreadPool;
 
 mod common;
+use common::{anchored_executors, flat_executors, machine_layouts, pool_sizes, NamedExecutor};
 
-/// Flat pools across the pool-size matrix, built lazily one at a time.
-fn flat_executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
-    common::pool_sizes().into_iter().map(|workers| {
-        let exec: Box<dyn Executor> = Box::new(ThreadPool::new(workers));
-        (format!("flat, {workers} workers"), exec)
-    })
-}
-
-/// Anchored pools on a single socket of 2×2 workers and on a dual-socket
-/// machine of 2×(2×2) workers, built lazily one at a time.
-fn anchored_executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
-    machine_layouts()
-        .into_iter()
-        .enumerate()
-        .map(|(i, machine)| {
-            let exec: Box<dyn Executor> =
-                Box::new(HierarchicalPool::new(machine, StealPolicy::NearestFirst));
-            (format!("anchored, machine {i}"), exec)
-        })
-}
-
-/// Every executor the assertions run on: the flat pools, then the anchored
-/// pools.
-fn executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
-    flat_executors().chain(anchored_executors())
-}
-
-fn machine_layouts() -> Vec<MachineTree> {
-    vec![
-        MachineTree::build(&PmhConfig::new(
-            vec![
-                CacheLevelSpec::new(1 << 10, 2, 10),
-                CacheLevelSpec::new(1 << 14, 2, 100),
-            ],
-            1,
-        )),
-        MachineTree::build(&PmhConfig::new(
-            vec![
-                CacheLevelSpec::new(1 << 10, 2, 10),
-                CacheLevelSpec::new(1 << 14, 2, 100),
-            ],
-            2,
-        )),
-    ]
+/// Every executor the assertions run on: flat pools across the pool-size
+/// matrix, then anchored pools on both machine layouts.
+fn executors() -> impl Iterator<Item = NamedExecutor> {
+    flat_executors(pool_sizes()).chain(anchored_executors(machine_layouts()))
 }
 
 /// One algorithm case: a built program, its bound matrices, its extras, and
@@ -197,7 +155,7 @@ fn assert_identical(
 }
 
 /// Row-major vs tile-packed on `executors`, bit-identical in both models.
-fn assert_layouts_identical(executors: impl Iterator<Item = (String, Box<dyn Executor>)>) {
+fn assert_layouts_identical(executors: impl Iterator<Item = NamedExecutor>) {
     let n = 32;
     let base = 8;
     for (name, exec) in executors {
@@ -216,14 +174,14 @@ fn assert_layouts_identical(executors: impl Iterator<Item = (String, Box<dyn Exe
 /// every pool size.
 #[test]
 fn all_seven_algorithms_bit_identical_across_layouts_flat() {
-    assert_layouts_identical(flat_executors());
+    assert_layouts_identical(flat_executors(pool_sizes()));
 }
 
 /// Row-major vs tile-packed, bit-identical, in both models on anchored pools
 /// on both machine layouts — anchoring and contiguous tiles compose.
 #[test]
 fn all_seven_algorithms_bit_identical_across_layouts_anchored() {
-    assert_layouts_identical(anchored_executors());
+    assert_layouts_identical(anchored_executors(machine_layouts()));
 }
 
 /// The tiled layout agrees with the plain serial oracles (sanity beyond

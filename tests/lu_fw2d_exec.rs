@@ -3,55 +3,64 @@
 //! execute-many reuse through the shared driver layer, and randomized-shape
 //! property tests mirroring `tests/graph_reuse.rs`.
 
-use nd_algorithms::common::Mode;
-use nd_algorithms::driver::{execute_reuse_rounds, Executor};
+use nd_algorithms::common::{BuiltAlgorithm, Mode};
+use nd_algorithms::driver::{self, execute_reuse_rounds, Executor};
 use nd_algorithms::exec::ExecContext;
 use nd_algorithms::fw2d::{apsp_parallel, build_fw2d};
 use nd_algorithms::lu::{assemble_global_pivots, build_lu, lu_parallel};
-use nd_exec::{HierarchicalPool, StealPolicy};
+use nd_exec::{compute_anchoring, AnchorConfig};
 use nd_linalg::fw::{floyd_warshall_naive, random_digraph};
 use nd_linalg::getrf::{getrf_naive, lu_residual};
 use nd_linalg::Matrix;
-use nd_pmh::config::{CacheLevelSpec, PmhConfig};
+use nd_pmh::config::PmhConfig;
 use nd_pmh::machine::MachineTree;
-use nd_runtime::ThreadPool;
+use nd_runtime::{ExecStats, ThreadPool};
 use proptest::prelude::*;
 use std::sync::Arc;
 
+mod common;
+use common::{anchored_executors, flat_executors, machine_layouts, NamedExecutor};
+
 /// The executors every result must agree across, built lazily one at a
-/// time: flat pools of 2 and 4 workers, then anchored pools on three machine
-/// layouts.
-fn executors() -> impl Iterator<Item = (String, Box<dyn Executor>)> {
-    let flat = [2usize, 4].into_iter().map(|workers| {
-        let exec: Box<dyn Executor> = Box::new(ThreadPool::new(workers));
-        (format!("flat, workers={workers}"), exec)
-    });
-    let anchored = layouts().into_iter().enumerate().map(|(i, machine)| {
-        let exec: Box<dyn Executor> =
-            Box::new(HierarchicalPool::new(machine, StealPolicy::NearestFirst));
-        (format!("anchored, layout {i}"), exec)
-    });
-    flat.chain(anchored)
+/// time: flat pools of 2 and 4 workers, then anchored pools on a one-worker
+/// flat machine and on both two-level machines.
+fn executors() -> impl Iterator<Item = NamedExecutor> {
+    let mut machines = vec![MachineTree::build(&PmhConfig::flat(1, 1 << 14, 10))];
+    machines.extend(machine_layouts());
+    flat_executors(vec![2, 4]).chain(anchored_executors(machines))
 }
 
-fn layouts() -> Vec<MachineTree> {
-    vec![
-        MachineTree::build(&PmhConfig::flat(1, 1 << 14, 10)),
-        MachineTree::build(&PmhConfig::new(
-            vec![
-                CacheLevelSpec::new(1 << 10, 2, 10),
-                CacheLevelSpec::new(1 << 14, 2, 100),
-            ],
-            1,
-        )),
-        MachineTree::build(&PmhConfig::new(
-            vec![
-                CacheLevelSpec::new(1 << 10, 2, 10),
-                CacheLevelSpec::new(1 << 14, 2, 100),
-            ],
-            2,
-        )),
-    ]
+/// The default `σ·M_i` anchoring of `built` pins a task at every cache level
+/// of both two-level machines, so the anchored runs really are placed (bit
+/// identity alone would also hold if every strand ran `Anywhere`).
+fn assert_anchors_every_level(built: &BuiltAlgorithm) {
+    for (i, machine) in machine_layouts().iter().enumerate() {
+        let anchoring =
+            compute_anchoring(&built.tree, &built.dag, machine, &AnchorConfig::default());
+        assert!(
+            anchoring.anchors_per_level.iter().all(|&x| x > 0),
+            "{}: machine {i} leaves a cache level without an anchor: {:?}",
+            built.label,
+            anchoring.anchors_per_level
+        );
+    }
+}
+
+/// Runs `built` (an LU program) on a copy of `a` on `exec`; returns the
+/// factors, the global pivots and the run's statistics.
+fn lu_on(
+    exec: &dyn Executor,
+    built: &BuiltAlgorithm,
+    a: &Matrix,
+    base: usize,
+) -> (Matrix, Vec<usize>, ExecStats) {
+    let n = a.rows();
+    let mut lu = a.clone();
+    let ctx = ExecContext::with_pivots(&mut [&mut lu], n);
+    let stats = driver::run_once(exec, built, &ctx).expect("run");
+    // SAFETY: the execution above has completed; no writer holds the store.
+    let piv = unsafe { assemble_global_pivots(&ctx.pivots, n, base) };
+    (lu, piv, stats)
 }
 
 /// Flat pools of several sizes and anchored pools of several layouts all
@@ -66,11 +75,17 @@ fn lu_flat_and_anchored_agree_across_layouts() {
     let reference_piv = lu_parallel(&ThreadPool::new(1), &mut reference, Mode::Nd, base);
     assert!(lu_residual(&reference, &reference_piv, &a) < 1e-10);
 
+    let built = build_lu(n, base, Mode::Nd);
+    assert_anchors_every_level(&built);
     for (name, exec) in executors() {
-        let mut lu = a.clone();
-        let piv = lu_parallel(&*exec, &mut lu, Mode::Nd, base);
+        let (lu, piv, stats) = lu_on(&*exec, &built, &a, base);
         assert_eq!(piv, reference_piv, "{name}");
         assert_eq!(lu.max_abs_diff(&reference), 0.0, "{name}");
+        assert_eq!(
+            stats.tasks,
+            stats.tasks_per_worker.iter().sum::<u64>() as usize,
+            "{name}"
+        );
     }
 }
 
@@ -87,6 +102,7 @@ fn apsp_flat_and_anchored_agree_across_layouts() {
     floyd_warshall_naive(&mut naive);
     assert!(reference.max_abs_diff(&naive) < 1e-12);
 
+    assert_anchors_every_level(&build_fw2d(n, base, Mode::Nd));
     for (name, exec) in executors() {
         let mut d = d0.clone();
         apsp_parallel(&*exec, &mut d, Mode::Nd, base);
