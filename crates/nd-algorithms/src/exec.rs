@@ -33,7 +33,7 @@ use nd_linalg::{fw, gemm, lcs, potrf, trsm};
 use nd_runtime::dataflow::{
     CompiledGraph, ExecStats, PersistentRun, Placement, SteadyStats, TaskTable,
 };
-use nd_runtime::fault::{RunBudget, RunError};
+use nd_runtime::fault::RunError;
 use nd_runtime::pool::{with_pack_scratch, ThreadPool};
 use std::sync::{Arc, OnceLock};
 
@@ -664,20 +664,6 @@ impl CompiledAlgorithm {
         self.graph.execute(pool, &self.table)
     }
 
-    /// Like [`CompiledAlgorithm::execute`], with a per-run [`RunBudget`]
-    /// (wall-clock deadline checked at every strand claim).
-    ///
-    /// # Errors
-    /// Returns [`RunError::DeadlineExceeded`] if the budget expires mid-run,
-    /// or [`RunError::Panicked`] if a strand panics.
-    pub fn execute_with(
-        &self,
-        pool: &ThreadPool,
-        budget: &RunBudget,
-    ) -> Result<ExecStats, RunError> {
-        self.graph.execute_with(pool, &self.table, budget)
-    }
-
     /// Steady-state execution: like [`CompiledAlgorithm::execute`], but
     /// through a persistent run state created on the first call — every
     /// subsequent call performs **zero heap allocations** (the run state is
@@ -696,22 +682,6 @@ impl CompiledAlgorithm {
         self.runner
             .get_or_init(|| PersistentRun::new(&self.graph, &self.table, pool.num_threads()))
             .execute(pool)
-    }
-
-    /// Like [`CompiledAlgorithm::execute_steady`], with a per-run
-    /// [`RunBudget`].
-    ///
-    /// # Errors
-    /// Returns [`RunError::DeadlineExceeded`] if the budget expires mid-run,
-    /// or [`RunError::Panicked`] if a strand panics.
-    pub fn execute_steady_with(
-        &self,
-        pool: &ThreadPool,
-        budget: &RunBudget,
-    ) -> Result<SteadyStats, RunError> {
-        self.runner
-            .get_or_init(|| PersistentRun::new(&self.graph, &self.table, pool.num_threads()))
-            .execute_with(pool, budget)
     }
 
     /// Scratch elements GEMM panel packing needs per worker (0 when every
@@ -743,9 +713,10 @@ impl CompiledAlgorithm {
     }
 
     /// The operation table the graph executes against.  Exposed so callers
-    /// that need a custom execution harness (e.g. a serving layer wrapping
-    /// the table to inject deterministic faults on the production fault
-    /// path) can drive [`CompiledGraph::execute_with`] themselves.
+    /// that need a custom execution harness (e.g. a serving layer that runs
+    /// under a deadline, or wraps the table in a
+    /// [`PanicAt`](nd_runtime::PanicAt) to inject a fault on the production
+    /// fault path) can drive [`CompiledGraph::execute_with`] themselves.
     pub fn op_table(&self) -> &Arc<OpTable> {
         &self.table
     }

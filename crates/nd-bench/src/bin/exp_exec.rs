@@ -57,7 +57,8 @@ use nd_pmh::topology::detect_host;
 use nd_runtime::dataflow::{CompiledGraph, TaskTable};
 use nd_runtime::pool::with_pack_scratch;
 use nd_runtime::{
-    AdmissionConfig, OverloadPolicy, Priority, RunBudget, RunError, SubmitOutcome, ThreadPool,
+    AdmissionConfig, OverloadPolicy, PanicAt, Priority, RunBudget, RunError, SubmitOutcome,
+    ThreadPool,
 };
 use nd_trace::{metrics_summary_json, TraceConfig, TraceSession};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -777,22 +778,6 @@ fn measure(
     }
 }
 
-/// A strand table that panics at one task while armed and does nothing
-/// otherwise — the natural-panic probe for the fault-path measurements (no
-/// `chaos` feature involved: the recovery machinery is always on).
-struct FaultProbeTable {
-    boom: u32,
-    armed: AtomicBool,
-}
-
-impl TaskTable for FaultProbeTable {
-    fn run_task(&self, task: u32) {
-        if task == self.boom && self.armed.load(Ordering::Relaxed) {
-            panic!("bench: injected fault at strand {task}");
-        }
-    }
-}
-
 /// E20: the robustness layer's costs.  A mid-run strand panic cancels the run
 /// by *draining* to the completion latch — every remaining strand is claimed
 /// but skipped — so a faulted run should return no slower than a clean one
@@ -802,8 +787,9 @@ impl TaskTable for FaultProbeTable {
 /// how long a run whose wall-clock budget is already blown takes to notice at
 /// a claim boundary and drain out, and the `shed_*` numbers check the
 /// admission layer's exact accounting under a burst far above its high-water
-/// mark.  All of it runs without the `chaos` feature: the panic here is a
-/// natural one, so this section also proves the fault path needs no harness.
+/// mark.  All of it runs without the `chaos` feature: the panic comes from
+/// the [`PanicAt`] table wrapper, so this section also proves the fault path
+/// needs no pool-level harness.
 struct FaultBench {
     graph_tasks: usize,
     /// Best clean execution of the probe graph (all fault machinery armed but
@@ -858,10 +844,8 @@ fn bench_faults(workers: usize, reps: usize) -> FaultBench {
     let tasks = (layers * width) as usize;
     let boom = (layers / 2) * width; // first strand of the middle layer
     let graph = Arc::new(CompiledGraph::from_edges(tasks, &edges, Vec::new()));
-    let table = Arc::new(FaultProbeTable {
-        boom,
-        armed: AtomicBool::new(false),
-    });
+    let table = Arc::new(NopTable);
+    let faulty = Arc::new(PanicAt::new(Arc::clone(&table), boom));
     let reps = reps.max(3);
 
     // Happy path through the fallible executor.
@@ -874,25 +858,22 @@ fn bench_faults(workers: usize, reps: usize) -> FaultBench {
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
 
-    // Drain latency: arm, fault, Err — reset between reps (documented
-    // recovery; the drain already restores the counters, reset() is the
+    // Drain latency: fault, Err — reset between reps (documented recovery;
+    // the drain already restores the counters, reset() is the
     // belt-and-suspenders the API prescribes).
-    table.armed.store(true, Ordering::Relaxed);
     let (drain_seconds, _) = time_reps(reps, || {
         graph
-            .execute(&pool, &table)
-            .expect_err("armed probe must fault");
+            .execute(&pool, &faulty)
+            .expect_err("wrapped table must fault");
         graph.reset();
     });
 
-    // Recovery: fault the graph, then time only reset + disarmed rerun.
+    // Recovery: fault the graph, then time only reset + unwrapped rerun.
     let mut recovery_best = f64::INFINITY;
     for _ in 0..reps {
-        table.armed.store(true, Ordering::Relaxed);
         graph
-            .execute(&pool, &table)
-            .expect_err("armed probe must fault");
-        table.armed.store(false, Ordering::Relaxed);
+            .execute(&pool, &faulty)
+            .expect_err("wrapped table must fault");
         let start = Instant::now();
         graph.reset();
         graph.execute(&pool, &table).expect("recovery run");
@@ -902,7 +883,6 @@ fn bench_faults(workers: usize, reps: usize) -> FaultBench {
 
     // Deadline trip: the budget is blown before the first claim; the run must
     // notice at a claim boundary and drain straight out.
-    table.armed.store(false, Ordering::Relaxed);
     let budget = RunBudget::with_deadline(Duration::from_nanos(1));
     let mut deadline_best = f64::INFINITY;
     for _ in 0..reps {

@@ -33,11 +33,12 @@
 //!   `BENCH_exec.json`; the compile-out-versus-disabled cost is measured by
 //!   `nd-runtime`'s `sched_overhead` binary and bounded by CI);
 //!   E20: the fault paths — drain-to-latch cancellation latency after a
-//!   mid-run strand panic, `reset()` + rerun recovery cost, the trip latency
-//!   of a blown wall-clock deadline, and the admission layer's shed
+//!   mid-run strand panic (injected by the `PanicAt` table wrapper, so no
+//!   cargo feature is involved), `reset()` + rerun recovery cost, the trip
+//!   latency of a blown wall-clock deadline, and the admission layer's shed
 //!   accounting under a synthetic burst (the `faults` section of
 //!   `BENCH_exec.json`; the cost of carrying the *uninstalled* `chaos`
-//!   fault-injection harness is bounded by the same `sched_overhead`
+//!   delay/steal harness is bounded by the same `sched_overhead`
 //!   comparison, run by the CI chaos job).
 //! * `exp_scaling` — E21: the multicore scaling study — strong and weak
 //!   scaling of MM, LU and FW-2D at 1 / 2 / 8 workers on synthesized PMH

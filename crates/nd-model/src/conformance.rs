@@ -24,7 +24,7 @@
 
 use crate::dag::Dag;
 use crate::model::{Action, Config, Fault, Model, Mutation};
-use nd_runtime::{CompiledGraph, RunError, ScheduleDriver, StepOutcome, TaskTable};
+use nd_runtime::{CompiledGraph, PanicAt, RunError, ScheduleDriver, StepOutcome, TaskTable};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -103,16 +103,12 @@ fn next_index(rng: &mut u64, len: usize) -> usize {
     (rng.wrapping_mul(0x2545_f491_4f6c_dd1d) % len as u64) as usize
 }
 
-struct ReplayTable {
-    panic_at: Option<u32>,
-}
+/// The replayed strands carry no work: the executor's observables are its
+/// claim order and fault protocol, not data.
+struct ReplayTable;
 
 impl TaskTable for ReplayTable {
-    fn run_task(&self, task: u32) {
-        if self.panic_at == Some(task) {
-            panic!("conformance-injected fault at task {task}");
-        }
-    }
+    fn run_task(&self, _task: u32) {}
     fn task_label(&self, _task: u32) -> &'static str {
         "model-replay"
     }
@@ -122,18 +118,30 @@ impl TaskTable for ReplayTable {
 /// observable against the model's prediction.  Returns a human-readable
 /// description of the first disagreement, if any.
 pub fn replay_through_executor(schedule: &Schedule) -> Result<(), String> {
-    let n = schedule.dag.task_count();
     let graph = Arc::new(CompiledGraph::from_edges(
-        n,
+        schedule.dag.task_count(),
         &schedule.dag.edges(),
         Vec::new(),
     ));
-    let panic_at = match schedule.fault {
-        Fault::PanicAt(t) => Some(t as u32),
-        _ => None,
-    };
-    let table = Arc::new(ReplayTable { panic_at });
-    let mut driver = ScheduleDriver::new(&graph, &table);
+    let table = Arc::new(ReplayTable);
+    match schedule.fault {
+        Fault::PanicAt(t) => replay_on(
+            schedule,
+            &graph,
+            &Arc::new(PanicAt::new(table, u32::from(t))),
+        ),
+        _ => replay_on(schedule, &graph, &table),
+    }
+}
+
+/// [`replay_through_executor`] with the table (plain or fault-wrapped)
+/// chosen.
+fn replay_on<T: TaskTable>(
+    schedule: &Schedule,
+    graph: &Arc<CompiledGraph>,
+    table: &Arc<T>,
+) -> Result<(), String> {
+    let mut driver = ScheduleDriver::new(graph, table);
 
     let mut driver_executed = 0u8;
     let mut driver_drained = 0u8;

@@ -1,17 +1,17 @@
 //! nd-chaos: a seeded, deterministic fault-injection harness for the
 //! executor (compiled only with the `chaos` cargo feature).
 //!
-//! The robustness layer of this runtime claims three things: a panicking
-//! strand cannot kill a worker, a faulted run always returns a
-//! [`RunError`](crate::fault::RunError) instead of hanging, and `reset()` +
-//! re-execute is bit-identical to an unfaulted run.  This module exists to
-//! *attack* those claims on purpose: a [`FaultPlan`] names concrete faults —
-//! panic strand `k`, delay worker `w` by `d` at its `s`-th unit, fail the
-//! `n`-th deque-steal attempt — and the pool injects them at the same
-//! cfg-point pattern the tracer uses, so the chaos property tests can sweep
-//! injected failures across the worker matrix and prove the scheduler
-//! invariants (exactly-once execution, no lost wakeup, eventual completion,
-//! full pool usability after every fault) survive.
+//! The robustness layer of this runtime claims that a run always completes
+//! (or returns a typed [`RunError`](crate::fault::RunError)) however its
+//! workers are scheduled.  This module exists to *attack* the scheduling
+//! half of that claim on purpose: a [`FaultPlan`] names concrete pool
+//! faults — delay worker `w` by `d` at its `s`-th unit, fail the `n`-th
+//! deque-steal attempt — and the pool injects them at the same cfg-point
+//! pattern the tracer uses, so the chaos property tests can sweep injected
+//! perturbations across the worker matrix and prove the scheduler
+//! invariants (exactly-once execution, no lost wakeup, eventual completion)
+//! survive.  Strand panics need no pool hook and no feature: they are
+//! injected per run by the [`PanicAt`](crate::fault::PanicAt) table wrapper.
 //!
 //! Determinism: a plan is plain data, each fault fires **at most once**
 //! (one-shot consumption, so a recovery re-run on the same pool is clean
@@ -47,11 +47,6 @@ pub struct WorkerDelay {
 /// fires at most once.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Graph strands that panic at their claim (injected inside the
-    /// executor's catch scope, so they surface as
-    /// [`RunError::Panicked`](crate::fault::RunError::Panicked) with payload
-    /// [`CHAOS_PANIC_MARKER`]).
-    pub panic_tasks: Vec<u32>,
     /// Worker delays (scheduling perturbation; never an error).
     pub delays: Vec<WorkerDelay>,
     /// 1-based ordinals of deque-steal attempts to fail: the `n`-th time any
@@ -60,20 +55,10 @@ pub struct FaultPlan {
     pub fail_steals: Vec<u64>,
 }
 
-/// The panic payload prefix of every chaos-injected strand panic; tests (and
-/// panic hooks that want to silence expected unwinds) match on it.
-pub const CHAOS_PANIC_MARKER: &str = "chaos: injected panic";
-
 impl FaultPlan {
     /// An empty plan (injects nothing).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Adds a strand panic at graph task `task`.
-    pub fn panic_at(mut self, task: u32) -> Self {
-        self.panic_tasks.push(task);
-        self
     }
 
     /// Adds a delay of `worker` by `delay` before its `at_step`-th unit.
@@ -94,20 +79,18 @@ impl FaultPlan {
 
     /// `true` if the plan injects nothing.
     pub fn is_empty(&self) -> bool {
-        self.panic_tasks.is_empty() && self.delays.is_empty() && self.fail_steals.is_empty()
+        self.delays.is_empty() && self.fail_steals.is_empty()
     }
 
-    /// Derives one deterministic fault from `seed`, scaled to a graph of
-    /// `task_count` tasks on `num_workers` workers: seeds cycle through the
-    /// three fault kinds, and the fault's coordinates (which strand, which
-    /// worker/step, which steal ordinal) are drawn from splitmix64 — the same
-    /// seed always produces the same plan.  The sweep tests iterate seeds to
-    /// cover the fault space.
-    pub fn seeded(seed: u64, task_count: usize, num_workers: usize) -> Self {
+    /// Derives one deterministic fault for a pool of `num_workers` workers:
+    /// seeds alternate between the two fault kinds, and the fault's
+    /// coordinates (which worker/step, which steal ordinal) are drawn from
+    /// splitmix64 — the same seed always produces the same plan.  The sweep
+    /// tests iterate seeds to cover the fault space.
+    pub fn seeded(seed: u64, num_workers: usize) -> Self {
         let mut s = SplitMix64::new(seed);
-        match seed % 3 {
-            0 if task_count > 0 => FaultPlan::new().panic_at((s.next() % task_count as u64) as u32),
-            1 => {
+        match seed % 2 {
+            0 => {
                 let worker = (s.next() % num_workers.max(1) as u64) as usize;
                 let at_step = s.next() % 8;
                 let delay = Duration::from_micros(200 + s.next() % 800);
@@ -141,8 +124,6 @@ impl SplitMix64 {
 /// worker).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChaosStats {
-    /// Strand panics injected.
-    pub panics_injected: u64,
     /// Worker delays injected.
     pub delays_injected: u64,
     /// Deque-steal attempts failed.
@@ -154,12 +135,10 @@ pub struct ChaosStats {
 /// The armed form of a [`FaultPlan`]: per-fault one-shot flags plus the
 /// counters the injection sites consult.  Owned by the pool's shared state.
 pub(crate) struct ChaosState {
-    panic_tasks: Vec<(u32, AtomicBool)>,
     delays: Vec<(WorkerDelay, AtomicBool)>,
     fail_steals: Vec<(u64, AtomicBool)>,
     steal_attempts: AtomicU64,
     worker_steps: Vec<AtomicU64>,
-    panics_injected: AtomicU64,
     delays_injected: AtomicU64,
     steals_failed: AtomicU64,
 }
@@ -167,11 +146,6 @@ pub(crate) struct ChaosState {
 impl ChaosState {
     pub(crate) fn new(plan: FaultPlan, num_workers: usize) -> Self {
         ChaosState {
-            panic_tasks: plan
-                .panic_tasks
-                .into_iter()
-                .map(|t| (t, AtomicBool::new(false)))
-                .collect(),
             delays: plan
                 .delays
                 .into_iter()
@@ -184,22 +158,9 @@ impl ChaosState {
                 .collect(),
             steal_attempts: AtomicU64::new(0),
             worker_steps: (0..num_workers).map(|_| AtomicU64::new(0)).collect(),
-            panics_injected: AtomicU64::new(0),
             delays_injected: AtomicU64::new(0),
             steals_failed: AtomicU64::new(0),
         }
-    }
-
-    /// One-shot: `true` exactly the first time `task` is claimed while this
-    /// plan names it.
-    pub(crate) fn should_panic(&self, task: u32) -> bool {
-        for (t, consumed) in &self.panic_tasks {
-            if *t == task && !consumed.swap(true, Ordering::Relaxed) {
-                self.panics_injected.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
     }
 
     /// Called by `worker` before running a unit; sleeps if a delay matches
@@ -229,7 +190,6 @@ impl ChaosState {
 
     pub(crate) fn stats(&self) -> ChaosStats {
         ChaosStats {
-            panics_injected: self.panics_injected.load(Ordering::Relaxed),
             delays_injected: self.delays_injected.load(Ordering::Relaxed),
             steals_failed: self.steals_failed.load(Ordering::Relaxed),
             steal_attempts: self.steal_attempts.load(Ordering::Relaxed),
@@ -244,25 +204,15 @@ mod tests {
     #[test]
     fn seeded_plans_are_deterministic_and_cycle_kinds() {
         for seed in 0..12u64 {
-            let a = FaultPlan::seeded(seed, 100, 4);
-            let b = FaultPlan::seeded(seed, 100, 4);
+            let a = FaultPlan::seeded(seed, 4);
+            let b = FaultPlan::seeded(seed, 4);
             assert_eq!(a, b, "seed {seed} must be deterministic");
             assert!(!a.is_empty());
-            match seed % 3 {
-                0 => assert_eq!(a.panic_tasks.len(), 1),
-                1 => assert_eq!(a.delays.len(), 1),
+            match seed % 2 {
+                0 => assert_eq!(a.delays.len(), 1),
                 _ => assert_eq!(a.fail_steals.len(), 1),
             }
         }
-    }
-
-    #[test]
-    fn panic_faults_are_one_shot() {
-        let state = ChaosState::new(FaultPlan::new().panic_at(3), 2);
-        assert!(!state.should_panic(2));
-        assert!(state.should_panic(3));
-        assert!(!state.should_panic(3), "each fault fires at most once");
-        assert_eq!(state.stats().panics_injected, 1);
     }
 
     #[test]

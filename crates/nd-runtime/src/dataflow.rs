@@ -693,8 +693,7 @@ impl<T: TaskTable> ActiveRun<T> {
     }
 
     /// Runs task `id`'s work inside a catch scope (recording the usual
-    /// claim/exec trace events around it).  The chaos panic injection lives
-    /// inside the scope, so injected faults take exactly the real fault path.
+    /// claim/exec trace events around it).
     #[inline]
     fn exec_one(
         &self,
@@ -703,12 +702,7 @@ impl<T: TaskTable> ActiveRun<T> {
         steal_wire: u16,
         exec_flags: u32,
     ) -> std::thread::Result<()> {
-        let work = || {
-            if ctx.chaos_should_panic(id) {
-                panic!("chaos: injected panic at strand {id}");
-            }
-            self.table.run_task(id);
-        };
+        let work = || self.table.run_task(id);
         if ctx.trace_enabled() {
             let tracer = ctx.tracer();
             let worker = ctx.worker_index;
@@ -1095,6 +1089,7 @@ impl<T: TaskTable> Drop for ScheduleDriver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{PanicAt, INJECTED_PANIC_MARKER};
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
 
@@ -1384,29 +1379,18 @@ mod tests {
         assert!(g.counters_are_reset());
     }
 
-    /// A table whose task `boom` panics whenever `armed` is set.
-    struct Bomb {
-        marks: Vec<AtomicUsize>,
-        boom: u32,
-        armed: std::sync::atomic::AtomicBool,
-    }
+    /// A table that counts each task's runs.
+    struct Marks(Vec<AtomicUsize>);
 
-    impl Bomb {
-        fn new(n: u32, boom: u32) -> Self {
-            Bomb {
-                marks: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-                boom,
-                armed: std::sync::atomic::AtomicBool::new(true),
-            }
+    impl Marks {
+        fn new(n: u32) -> Arc<Self> {
+            Arc::new(Marks((0..n).map(|_| AtomicUsize::new(0)).collect()))
         }
     }
 
-    impl TaskTable for Bomb {
+    impl TaskTable for Marks {
         fn run_task(&self, task: u32) {
-            if task == self.boom && self.armed.load(Ordering::SeqCst) {
-                panic!("bomb at strand {task}");
-            }
-            self.marks[task as usize].fetch_add(1, Ordering::SeqCst);
+            self.0[task as usize].fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -1416,8 +1400,10 @@ mod tests {
         let n = 120u32;
         let edges: Vec<(u32, u32)> = (1..n).map(|t| ((t - 1) / 2, t)).collect();
         let graph = Arc::new(CompiledGraph::from_edges(n as usize, &edges, Vec::new()));
-        let table = Arc::new(Bomb::new(n, 5));
-        let err = graph.execute(&p, &table).unwrap_err();
+        let table = Marks::new(n);
+        let err = graph
+            .execute(&p, &Arc::new(PanicAt::new(Arc::clone(&table), 5)))
+            .unwrap_err();
         match &err {
             RunError::Panicked {
                 task,
@@ -1426,20 +1412,19 @@ mod tests {
             } => {
                 assert_eq!(*task, 5);
                 assert_eq!(*op_kind, GENERIC_TASK_LABEL);
-                assert!(payload.contains("bomb at strand 5"), "payload: {payload}");
+                assert_eq!(payload, INJECTED_PANIC_MARKER);
             }
             other => panic!("expected Panicked, got {other:?}"),
         }
         // The drain claimed every task exactly once, so the counters are
         // already reset and the run did not hang.
         assert!(graph.counters_are_reset());
-        assert_eq!(table.marks[5].load(Ordering::SeqCst), 0);
-        // Documented recovery: disarm, re-execute, everything runs.
-        table.armed.store(false, Ordering::SeqCst);
+        assert_eq!(table.0[5].load(Ordering::SeqCst), 0);
+        // Documented recovery: re-execute the unwrapped table, everything runs.
         let stats = graph.execute(&p, &table).unwrap();
         assert_eq!(stats.tasks, n as usize);
         assert!(
-            table.marks.iter().enumerate().all(|(i, m)| {
+            table.0.iter().enumerate().all(|(i, m)| {
                 let runs = m.load(Ordering::SeqCst);
                 // Task 5 never ran in round 1; tasks cancelled by the drain
                 // also ran only in round 2.  Nothing ran more than twice.
@@ -1456,17 +1441,27 @@ mod tests {
         let n = 80u32;
         let edges: Vec<(u32, u32)> = (1..n).map(|t| ((t - 1) / 3, t)).collect();
         let graph = Arc::new(CompiledGraph::from_edges(n as usize, &edges, Vec::new()));
-        let table = Arc::new(Bomb::new(n, 2));
+        let table = Marks::new(n);
+        let faulty = PersistentRun::new(
+            &graph,
+            &Arc::new(PanicAt::new(Arc::clone(&table), 2)),
+            p.num_threads(),
+        );
+        // The same faulted runner re-arms its fault state every run: a
+        // cancellation left over from the first run would drain the second
+        // one before task 2 panics again.
+        for _ in 0..2 {
+            let err = faulty.execute(&p).unwrap_err();
+            assert_eq!(err.task(), Some(2));
+            assert!(graph.counters_are_reset());
+        }
         let runner = PersistentRun::new(&graph, &table, p.num_threads());
-        let err = runner.execute(&p).unwrap_err();
-        assert_eq!(err.task(), Some(2));
-        assert!(graph.counters_are_reset());
-        table.armed.store(false, Ordering::SeqCst);
         for round in 1..=2 {
             let stats = runner.execute(&p).unwrap();
             assert_eq!(stats.tasks, n as usize, "round {round}");
             assert!(graph.counters_are_reset());
         }
+        assert_eq!(table.0[2].load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -1512,23 +1507,18 @@ mod tests {
     /// Records each task's execution in claim order.
     struct RecordingTable {
         ran: Mutex<Vec<u32>>,
-        panic_at: Option<u32>,
     }
 
     impl RecordingTable {
-        fn new(panic_at: Option<u32>) -> Arc<Self> {
+        fn new() -> Arc<Self> {
             Arc::new(RecordingTable {
                 ran: Mutex::new(Vec::new()),
-                panic_at,
             })
         }
     }
 
     impl TaskTable for RecordingTable {
         fn run_task(&self, task: u32) {
-            if self.panic_at == Some(task) {
-                panic!("injected fault at task {task}");
-            }
             self.ran.lock().push(task);
         }
         fn task_label(&self, _task: u32) -> &'static str {
@@ -1547,7 +1537,7 @@ mod tests {
     #[test]
     fn driver_executes_a_chosen_schedule() {
         let graph = diamond();
-        let table = RecordingTable::new(None);
+        let table = RecordingTable::new();
         let mut d = ScheduleDriver::new(&graph, &table);
         assert_eq!(d.ready(), &[0]);
         assert!(!d.is_complete());
@@ -1569,7 +1559,7 @@ mod tests {
     #[test]
     fn driver_rejects_unready_and_double_claims() {
         let graph = diamond();
-        let table = RecordingTable::new(None);
+        let table = RecordingTable::new();
         let mut d = ScheduleDriver::new(&graph, &table);
         // Task 3 still has pending predecessors.
         assert_eq!(d.step(3), Err(ScheduleError::NotReady { task: 3 }));
@@ -1587,8 +1577,8 @@ mod tests {
     #[test]
     fn driver_panicking_task_drains_the_rest() {
         let graph = diamond();
-        let table = RecordingTable::new(Some(1));
-        let mut d = ScheduleDriver::new(&graph, &table);
+        let table = RecordingTable::new();
+        let mut d = ScheduleDriver::new(&graph, &Arc::new(PanicAt::new(Arc::clone(&table), 1)));
         assert_eq!(d.step(0).unwrap(), StepOutcome::Executed);
         assert_eq!(d.step(1).unwrap(), StepOutcome::Panicked);
         // Every remaining claim performs the full protocol but skips the work.
@@ -1605,7 +1595,7 @@ mod tests {
         assert_eq!(*table.ran.lock(), vec![0]);
         // The drain restored every counter; the graph is immediately reusable.
         assert!(graph.counters_are_reset());
-        let table2 = RecordingTable::new(None);
+        let table2 = RecordingTable::new();
         let mut d = ScheduleDriver::new(&graph, &table2);
         for t in [0, 1, 2, 3] {
             d.step(t).unwrap();
@@ -1617,7 +1607,7 @@ mod tests {
     #[test]
     fn driver_expired_deadline_drains_from_the_first_claim() {
         let graph = diamond();
-        let table = RecordingTable::new(None);
+        let table = RecordingTable::new();
         let budget = RunBudget::with_deadline(Duration::from_nanos(1));
         let mut d = ScheduleDriver::with_budget(&graph, &table, &budget);
         std::thread::sleep(Duration::from_millis(2));
@@ -1635,7 +1625,7 @@ mod tests {
     #[test]
     fn driver_abandoned_mid_run_resets_the_graph() {
         let graph = diamond();
-        let table = RecordingTable::new(None);
+        let table = RecordingTable::new();
         let mut d = ScheduleDriver::new(&graph, &table);
         d.step(0).unwrap();
         drop(d);

@@ -26,15 +26,21 @@
 //!   completion — the rt-drl-style criticality switch: high-priority work is
 //!   always admitted, low-priority work degrades first).
 //!
+//! * [`PanicAt`] — the one strand-panic injector: a [`TaskTable`] wrapper
+//!   that panics at a chosen task, so a test, a benchmark or the serving
+//!   layer can drive the fault path above on purpose.
+//!
 //! The module is plain data + policy; the enforcement lives at the pool's
 //! submission path (`ThreadPool::submit`) and the dataflow executor's claim
 //! sites.
 
+use crate::dataflow::TaskTable;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Operation-kind label carried by [`RunError::Panicked`] when the task table
-/// does not override [`TaskTable::task_label`](crate::dataflow::TaskTable::task_label).
+/// does not override [`TaskTable::task_label`].
 pub const GENERIC_TASK_LABEL: &str = "task";
 
 /// Why a graph execution failed.
@@ -55,7 +61,7 @@ pub enum RunError {
         /// Graph index of the panicked task.
         task: u32,
         /// Operation kind of the panicked task (from
-        /// [`TaskTable::task_label`](crate::dataflow::TaskTable::task_label);
+        /// [`TaskTable::task_label`];
         /// [`GENERIC_TASK_LABEL`] when the table carries no kinds).
         op_kind: &'static str,
         /// The panic payload, rendered to a string (`"<non-string panic
@@ -157,10 +163,9 @@ pub enum OverloadPolicy {
     /// Backpressure: nothing is lost, submission rate is clamped to
     /// completion rate.
     Block,
-    /// The submission is refused ([`SubmitOutcome::Shed`]) and counted in
-    /// [`PoolStats::jobs_shed`](crate::pool::PoolStats::jobs_shed).  The
-    /// caller keeps the job (see `ThreadPool::try_submit`) and decides
-    /// whether to retry, redirect, or drop.
+    /// The submission is refused ([`SubmitOutcome::Shed`]), dropped without
+    /// running, and counted in
+    /// [`PoolStats::jobs_shed`](crate::pool::PoolStats::jobs_shed).
     Shed,
     /// The rt-drl-style criticality switch: [`Priority::High`] submissions
     /// are always admitted (the mark may be exceeded by critical work), while
@@ -197,7 +202,7 @@ pub enum Priority {
 ///
 /// `high_water` bounds the number of *outstanding* admitted external jobs —
 /// submitted and not yet finished executing.  Only the external submission
-/// path (`ThreadPool::spawn` / `submit` / `try_submit`) is admission
+/// path (`ThreadPool::spawn` / `submit`) is admission
 /// controlled; work spawned by running jobs and compiled-graph strands is
 /// bounded by its graph and bypasses the layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,6 +237,42 @@ pub enum SubmitOutcome {
     /// [`OverloadPolicy::Degrade`]; it runs later, serialised behind the
     /// currently outstanding work.
     Degraded,
+}
+
+/// Panic payload of every strand panic a [`PanicAt`] injects; tests (and
+/// panic hooks that silence expected unwinds) match on it.
+pub const INJECTED_PANIC_MARKER: &str = "injected strand panic";
+
+/// A [`TaskTable`] that panics with [`INJECTED_PANIC_MARKER`] at one task and
+/// delegates every other task, and every label, to `inner`.
+///
+/// The panic is raised inside the executor's catch scope, so it takes the
+/// production fault path end to end: [`RunError::Panicked`], drain, reset.
+/// The wrapper is per run and the executor carries no hook for it: run the
+/// wrapper to fault, and recover by running the unwrapped `inner` table.
+pub struct PanicAt<T: TaskTable> {
+    inner: Arc<T>,
+    task: u32,
+}
+
+impl<T: TaskTable> PanicAt<T> {
+    /// Wraps `inner` so that graph task `task` panics.
+    pub fn new(inner: Arc<T>, task: u32) -> Self {
+        PanicAt { inner, task }
+    }
+}
+
+impl<T: TaskTable> TaskTable for PanicAt<T> {
+    fn run_task(&self, task: u32) {
+        if task == self.task {
+            panic!("{INJECTED_PANIC_MARKER}");
+        }
+        self.inner.run_task(task);
+    }
+
+    fn task_label(&self, task: u32) -> &'static str {
+        self.inner.task_label(task)
+    }
 }
 
 #[cfg(test)]

@@ -26,16 +26,15 @@
 //!   DRS-produced `AlgorithmDag` of `nd-core`) into the compiled graph form,
 //!   preserving vertex indexing so per-vertex side tables (kernel
 //!   tables, anchoring placements) line up without translation.
-//! * [`join`] — a minimal fork-join façade built on the same pool, used by examples
-//!   and by the NP wall-clock baselines.
 //! * [`fault`] — the failure story: typed [`RunError`]s (strand panics are
 //!   caught at the execution sites and the run drains to its latch instead of
-//!   hanging), per-run wall-clock [`RunBudget`] deadlines, and the pool's
+//!   hanging), per-run wall-clock [`RunBudget`] deadlines, the pool's
 //!   bounded-injection admission layer ([`OverloadPolicy`]: block, shed, or
-//!   rt-style degrade of low-priority submissions).
-//! * `chaos` (behind the `chaos` feature, compiled out like `trace`) — a
-//!   seeded deterministic fault-injection harness that attacks the above on
-//!   purpose: panic strand *k*, delay worker *w*, fail the *n*-th steal.
+//!   rt-style degrade of low-priority submissions), and [`PanicAt`], the
+//!   task-table wrapper that injects a strand panic at a chosen task.
+//! * `chaos` (behind the off-by-default `chaos` feature; without it the
+//!   injection sites are not compiled) — a seeded deterministic harness that
+//!   perturbs the pool on purpose: delay worker *w*, fail the *n*-th steal.
 //!
 //! Executing an *NP* program and an *ND* program through the same executor differs
 //! only in the DAG: the NP DAG contains the artificial dependencies the serial
@@ -50,16 +49,18 @@
 pub mod chaos;
 pub mod dataflow;
 pub mod fault;
-pub mod join;
 pub mod latch;
 pub mod lower;
 pub mod pool;
 
 #[cfg(feature = "chaos")]
-pub use chaos::{ChaosStats, FaultPlan, WorkerDelay, CHAOS_PANIC_MARKER};
+pub use chaos::{ChaosStats, FaultPlan, WorkerDelay};
 pub use dataflow::{
     CompiledGraph, ExecStats, Placement, ScheduleDriver, ScheduleError, StepOutcome, TaskTable,
 };
-pub use fault::{AdmissionConfig, OverloadPolicy, Priority, RunBudget, RunError, SubmitOutcome};
+pub use fault::{
+    AdmissionConfig, OverloadPolicy, PanicAt, Priority, RunBudget, RunError, SubmitOutcome,
+    INJECTED_PANIC_MARKER,
+};
 pub use lower::{lower_dag, LoweredDag};
 pub use pool::{AdmissionSnapshot, PoolStats, PoolTopology, ThreadPool};

@@ -24,7 +24,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 thread_local! {
     /// The calling thread's packing scratch arena (see [`with_pack_scratch`]).
@@ -243,14 +243,6 @@ impl WorkerCtx<'_> {
         &self.shared.tracer
     }
 
-    /// Chaos injection site for the dataflow executor: `true` exactly when
-    /// the armed plan names `task` for a one-shot strand panic (constant
-    /// `false` without the `chaos` feature).
-    #[inline]
-    pub(crate) fn chaos_should_panic(&self, task: u32) -> bool {
-        self.shared.chaos_should_panic(task)
-    }
-
     /// Reports a caught graph-strand panic into the pool's fault counter.
     #[inline]
     pub(crate) fn note_panicked(&self) {
@@ -271,12 +263,6 @@ impl WorkerCtx<'_> {
     /// be the next thing this worker runs, unless someone steals it).
     pub fn spawn_local(&self, job: Job) {
         self.spawn_unit_local(JobUnit::Boxed(job));
-    }
-
-    /// Spawns a job onto the global injector (FIFO), visible to every worker.
-    pub fn spawn_global(&self, job: Job) {
-        self.shared.injector.push(JobUnit::Boxed(job));
-        self.shared.notify_one();
     }
 
     /// Spawns a job onto a queue group's injector: only that group's workers
@@ -492,20 +478,6 @@ impl Shared {
         }
     }
 
-    /// Chaos injection site: `true` exactly when the armed plan names `task`
-    /// for a one-shot strand panic.  Constant `false` without the feature.
-    #[inline]
-    pub(crate) fn chaos_should_panic(&self, task: u32) -> bool {
-        #[cfg(feature = "chaos")]
-        {
-            if let Some(c) = self.chaos_state() {
-                return c.should_panic(task);
-            }
-        }
-        let _ = task;
-        false
-    }
-
     /// Chaos injection site: sleeps if the armed plan delays `worker` at its
     /// current step.  No-op without the feature.
     #[inline]
@@ -660,12 +632,9 @@ impl ThreadPool {
         ThreadPool::with_topology_and_admission(PoolTopology::flat(num_threads), Some(config))
     }
 
-    /// The general constructor: a pool with the given `topology` and an
-    /// optional admission layer.
-    ///
-    /// # Panics
-    /// Panics if the topology is inconsistent (see [`PoolTopology`]).
-    pub fn with_topology_and_admission(
+    /// The constructor behind [`ThreadPool::with_topology`] and
+    /// [`ThreadPool::with_admission`].
+    fn with_topology_and_admission(
         topology: PoolTopology,
         admission: Option<AdmissionConfig>,
     ) -> Self {
@@ -796,70 +765,6 @@ impl ThreadPool {
                     SubmitOutcome::Degraded
                 }
             },
-        }
-    }
-
-    /// [`ThreadPool::submit`] with a bound on how long [`OverloadPolicy::Block`]
-    /// backpressure may park the caller.
-    ///
-    /// Behaves exactly like `submit` for every policy except `Block`: there,
-    /// instead of waiting forever for a completion to free a slot, the caller
-    /// waits at most `timeout` and then gets the job handed back as
-    /// `Err(job)` (mirroring [`ThreadPool::try_submit`]) — nothing was
-    /// admitted, counted, or spawned.  A serving layer's admission path can
-    /// therefore never wedge on a saturated pool: it bounds the wait, takes
-    /// the job back, and applies its own policy (re-queue, shed, drain).
-    pub fn submit_timeout(
-        &self,
-        priority: Priority,
-        job: Job,
-        timeout: Duration,
-    ) -> Result<SubmitOutcome, Job> {
-        let Some(adm) = &self.shared.admission else {
-            self.spawn_unit(JobUnit::Boxed(job));
-            return Ok(SubmitOutcome::Admitted);
-        };
-        if adm.try_reserve() {
-            self.spawn_unit(JobUnit::Admitted(job));
-            return Ok(SubmitOutcome::Admitted);
-        }
-        if adm.config.policy != OverloadPolicy::Block {
-            return Ok(self.submit(priority, job));
-        }
-        // Bounded backpressure: park in 1 ms slices (the pool-wide condvar
-        // discipline — a lost notification costs a millisecond, never
-        // progress) until a slot frees or the deadline passes.
-        let deadline = Instant::now() + timeout;
-        let mut guard = adm.submit_mutex.lock();
-        loop {
-            if adm.try_reserve() {
-                drop(guard);
-                self.spawn_unit(JobUnit::Admitted(job));
-                return Ok(SubmitOutcome::Admitted);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(job);
-            }
-            let slice = (deadline - now).min(Duration::from_millis(1));
-            adm.submit_condvar.wait_for(&mut guard, slice);
-        }
-    }
-
-    /// Non-blocking admission: admits the job if a slot is free, otherwise
-    /// returns it to the caller (regardless of policy — no blocking, no
-    /// parking, no counting).  `Err(job)` gives the job back for retry,
-    /// redirect, or drop.
-    pub fn try_submit(&self, job: Job) -> Result<(), Job> {
-        let Some(adm) = &self.shared.admission else {
-            self.spawn_unit(JobUnit::Boxed(job));
-            return Ok(());
-        };
-        if adm.try_reserve() {
-            self.spawn_unit(JobUnit::Admitted(job));
-            Ok(())
-        } else {
-            Err(job)
         }
     }
 
@@ -1583,116 +1488,5 @@ mod tests {
             ran.load(Ordering::SeqCst)
         });
         assert_eq!(pool.admission_stats().unwrap().max_outstanding, 1);
-    }
-
-    #[test]
-    fn try_submit_returns_the_job_when_full() {
-        let pool = ThreadPool::with_admission(1, AdmissionConfig::new(1, OverloadPolicy::Block));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&pool, &release), SubmitOutcome::Admitted);
-        let rejected = pool.try_submit(Box::new(|_| {}));
-        assert!(rejected.is_err(), "full pool must hand the job back");
-        release.store(true, Ordering::SeqCst);
-        wait_until("slot released", || {
-            pool.admission_stats().unwrap().outstanding == 0
-        });
-        assert!(pool.try_submit(rejected.unwrap_err()).is_ok());
-    }
-
-    /// Regression test for the unbounded Block wait: `submit_timeout` must
-    /// hand the job back once the deadline passes instead of parking forever,
-    /// and must admit normally when a slot frees in time.
-    #[test]
-    fn submit_timeout_bounds_block_backpressure() {
-        let pool = Arc::new(ThreadPool::with_admission(
-            2,
-            AdmissionConfig::new(1, OverloadPolicy::Block),
-        ));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&pool, &release), SubmitOutcome::Admitted);
-
-        // Saturated pool: the bounded wait must expire and return the job.
-        let t0 = std::time::Instant::now();
-        let back = pool.submit_timeout(
-            Priority::High,
-            Box::new(|_| panic!("must not run")),
-            Duration::from_millis(30),
-        );
-        let waited = t0.elapsed();
-        let job = match back {
-            Err(job) => job,
-            Ok(out) => panic!("saturated Block pool must time out, got {out:?}"),
-        };
-        assert!(
-            waited >= Duration::from_millis(30),
-            "returned before the deadline: {waited:?}"
-        );
-        assert!(
-            waited < Duration::from_secs(5),
-            "wait did not stay near the deadline: {waited:?}"
-        );
-        drop(job); // nothing was admitted or counted
-        assert_eq!(pool.admission_stats().unwrap().outstanding, 1);
-
-        // Free the slot mid-wait: the same call must admit and run the job.
-        let ran = Arc::new(AtomicBool::new(false));
-        let submitter = {
-            let pool = Arc::clone(&pool);
-            let ran = Arc::clone(&ran);
-            std::thread::spawn(move || {
-                let ran = Arc::clone(&ran);
-                pool.submit_timeout(
-                    Priority::High,
-                    Box::new(move |_| {
-                        ran.store(true, Ordering::SeqCst);
-                    }),
-                    Duration::from_secs(10),
-                )
-            })
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        release.store(true, Ordering::SeqCst);
-        assert_eq!(
-            submitter.join().unwrap().ok(),
-            Some(SubmitOutcome::Admitted)
-        );
-        wait_until("timed submission ran after release", || {
-            ran.load(Ordering::SeqCst)
-        });
-        // The bounded path never exceeded the high-water mark.
-        assert_eq!(pool.admission_stats().unwrap().max_outstanding, 1);
-    }
-
-    /// `submit_timeout` on a pool without admission (or under a non-Block
-    /// policy) behaves exactly like `submit` — it never blocks, so the
-    /// timeout is irrelevant.
-    #[test]
-    fn submit_timeout_matches_submit_off_the_block_path() {
-        let pool = ThreadPool::new(2);
-        let ran = Arc::new(AtomicBool::new(false));
-        let r2 = Arc::clone(&ran);
-        let out = pool.submit_timeout(
-            Priority::Low,
-            Box::new(move |_| r2.store(true, Ordering::SeqCst)),
-            Duration::from_millis(1),
-        );
-        assert_eq!(out.ok(), Some(SubmitOutcome::Admitted));
-        wait_until("job ran", || ran.load(Ordering::SeqCst));
-
-        let shed_pool =
-            ThreadPool::with_admission(1, AdmissionConfig::new(1, OverloadPolicy::Shed));
-        let release = Arc::new(AtomicBool::new(false));
-        assert_eq!(spawn_blocker(&shed_pool, &release), SubmitOutcome::Admitted);
-        let out = shed_pool.submit_timeout(
-            Priority::Low,
-            Box::new(|_| panic!("must not run")),
-            Duration::from_secs(10),
-        );
-        assert_eq!(
-            out.ok(),
-            Some(SubmitOutcome::Shed),
-            "Shed policy never waits"
-        );
-        release.store(true, Ordering::SeqCst);
     }
 }

@@ -1,7 +1,7 @@
 //! The compiled-graph cache: build-once / execute-many across tenants.
 //!
-//! Entries are keyed by [`GraphKey`] — `(algorithm, n, b, layout,
-//! placement)` — and hold everything a run needs: the built algorithm's
+//! Entries are keyed by [`GraphKey`] — `(algorithm, n, b, layout)` — and
+//! hold everything a run needs: the built algorithm's
 //! compiled graph + operation table *and* the workspace matrices the
 //! context's raw views point into.  Compilation is **single-flight**:
 //! concurrent misses for one key block on the first compiler instead of
@@ -21,44 +21,16 @@ use crate::job::{AlgoKind, GraphKey, JobSpec};
 use nd_algorithms::cholesky::build_cholesky;
 use nd_algorithms::common::Mode;
 use nd_algorithms::driver::{bind_layout, compile, ContextExtras};
-use nd_algorithms::exec::{CompiledAlgorithm, OpTable};
+use nd_algorithms::exec::CompiledAlgorithm;
 use nd_algorithms::mm::build_mm;
 use nd_linalg::tile::TileMatrix;
 use nd_linalg::Matrix;
-use nd_runtime::dataflow::TaskTable;
-use nd_runtime::fault::{RunBudget, RunError};
+use nd_runtime::fault::{PanicAt, RunBudget, RunError};
 use nd_runtime::ThreadPool;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Panic payload of every fault the serving layer injects (spec-level
-/// `InjectSpec` and the server's seeded chaos rate).  The panic is raised
-/// *inside* the executor's real catch scope, so it takes the production
-/// fault path end to end: caught at the execution site, converted to a
-/// typed `RunError::Panicked`, run drained, graph `reset()`, retried.
-pub const INJECTED_PANIC_MARKER: &str = "nd-serve: injected fault";
-
-/// A [`TaskTable`] wrapper that panics at one chosen task and delegates the
-/// rest — the injection vehicle.
-pub struct InjectTable {
-    pub(crate) inner: Arc<OpTable>,
-    pub(crate) panic_task: u32,
-}
-
-impl TaskTable for InjectTable {
-    fn run_task(&self, task: u32) {
-        if task == self.panic_task {
-            panic!("{INJECTED_PANIC_MARKER}");
-        }
-        self.inner.run_task(task);
-    }
-
-    fn task_label(&self, task: u32) -> &'static str {
-        self.inner.task_label(task)
-    }
-}
 
 /// The workspace a compiled entry owns.  Field order is load-bearing only
 /// in that `mats`/`tiles` must stay alive (and their heap buffers
@@ -185,9 +157,11 @@ impl GraphEntry {
     }
 
     /// Executes one attempt: reinitialise the workspace from the spec's
-    /// seed, run the compiled graph (through the injection wrapper when
-    /// `inject_task` is set), and digest the output.  On a fault the graph
-    /// is `reset()` so the entry is immediately reusable.
+    /// seed, run the compiled graph, and digest the output.  When
+    /// `inject_task` is set (spec-level `InjectSpec` or the server's seeded
+    /// chaos rate) the operation table runs wrapped in a [`PanicAt`], so the
+    /// injected panic takes the production fault path end to end.  On a
+    /// fault the graph is `reset()` so the entry is immediately reusable.
     pub(crate) fn run(
         &self,
         pool: &ThreadPool,
@@ -198,18 +172,10 @@ impl GraphEntry {
         let mut g = self.inner.lock();
         g.reinit(spec);
         let graph = Arc::clone(g.compiled.graph());
+        let table = Arc::clone(g.compiled.op_table());
         let result = match inject_task {
-            None => {
-                let table = Arc::clone(g.compiled.op_table());
-                graph.execute_with(pool, &table, budget)
-            }
-            Some(task) => {
-                let table = Arc::new(InjectTable {
-                    inner: Arc::clone(g.compiled.op_table()),
-                    panic_task: task,
-                });
-                graph.execute_with(pool, &table, budget)
-            }
+            None => graph.execute_with(pool, &table, budget),
+            Some(task) => graph.execute_with(pool, &Arc::new(PanicAt::new(table, task)), budget),
         };
         match result {
             Ok(_) => {
@@ -372,6 +338,7 @@ mod tests {
     use super::*;
     use crate::job::InjectSpec;
     use nd_algorithms::exec::Layout;
+    use nd_runtime::INJECTED_PANIC_MARKER;
 
     fn mm_spec(seed: u64, layout: Layout) -> JobSpec {
         JobSpec {

@@ -45,15 +45,6 @@ pub enum InjectSpec {
     FirstK(u32),
 }
 
-/// Where a cached graph's tasks may run.  The server currently compiles for
-/// the flat executor only; anchored placements join this enum when the
-/// `nd-exec` pool is plumbed through the cache.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum PlacementClass {
-    /// No placement constraints (the flat executor's fast path).
-    Flat,
-}
-
 /// The compiled-graph cache key: everything that determines the compiled
 /// form.  Input data (the seed) deliberately excluded — jobs with different
 /// inputs share one compiled graph.
@@ -67,8 +58,6 @@ pub struct GraphKey {
     pub base: u32,
     /// Matrix storage layout the context binds.
     pub layout: Layout,
-    /// Placement class the graph compiles for.
-    pub placement: PlacementClass,
 }
 
 impl GraphKey {
@@ -86,7 +75,6 @@ impl GraphKey {
         mix(self.n);
         mix(self.base);
         mix(self.layout as u32);
-        mix(self.placement as u32);
         h
     }
 }
@@ -95,12 +83,11 @@ impl std::fmt::Display for GraphKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}(n={}, b={}, {:?}, {:?})",
+            "{}(n={}, b={}, {:?})",
             self.algo.name(),
             self.n,
             self.base,
-            self.layout,
-            self.placement
+            self.layout
         )
     }
 }
@@ -145,7 +132,6 @@ impl JobSpec {
             n: self.n as u32,
             base: self.base as u32,
             layout: self.layout,
-            placement: PlacementClass::Flat,
         }
     }
 

@@ -19,7 +19,7 @@
 //! * [`server`] — the [`Server`]: accept/reject, runner crew, exactly-once
 //!   terminal [`JobOutcome`] per accepted job, drain/shutdown, health.
 //! * [`cache`] — the compiled-graph cache keyed by
-//!   `(algorithm, n, b, layout, placement)`: single-flight compilation,
+//!   `(algorithm, n, b, layout)`: single-flight compilation,
 //!   in-place re-initialisation between runs, digest of every output for
 //!   bit-identity checks, and quarantine of repeatedly-faulting entries.
 //! * [`qos`] — per-tenant envelopes: token-bucket rate limit, outstanding
@@ -69,10 +69,10 @@ pub mod retry;
 pub mod server;
 
 pub use breaker::{Breaker, BreakerConfig, BreakerState, Gate};
-pub use cache::{CacheSnapshot, GraphCache, GraphEntry, InjectTable, INJECTED_PANIC_MARKER};
+pub use cache::{CacheSnapshot, GraphCache, GraphEntry};
 pub use clock::ServeClock;
 pub use error::ServeError;
-pub use job::{AlgoKind, GraphKey, InjectSpec, JobOutcome, JobSpec, PlacementClass, ShedReason};
+pub use job::{AlgoKind, GraphKey, InjectSpec, JobOutcome, JobSpec, ShedReason};
 pub use qos::{TenantConfig, TenantCounters, TenantSnapshot};
 pub use retry::{RetryPolicy, SplitMix64};
 pub use server::{DrainReport, HealthSnapshot, JobTicket, ServeConfig, Server, ServerState};

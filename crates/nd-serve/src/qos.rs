@@ -86,6 +86,22 @@ struct Bucket {
     last_refill_ns: u64,
 }
 
+impl Bucket {
+    /// Credits the time since the last refill at `rate` tokens per second,
+    /// capped at `burst`.  Submitters read the clock before they take the
+    /// bucket lock, so `now_ns` may be older than `last_refill_ns`; such a
+    /// refill credits nothing and leaves `last_refill_ns` where it is, so no
+    /// interval is ever credited twice.
+    fn refill(&mut self, now_ns: u64, rate: f64, burst: f64) {
+        if now_ns <= self.last_refill_ns {
+            return;
+        }
+        let dt_s = (now_ns - self.last_refill_ns) as f64 / 1e9;
+        self.tokens = (self.tokens + dt_s * rate).min(burst);
+        self.last_refill_ns = now_ns;
+    }
+}
+
 /// One registered tenant: config, bucket, outstanding count, counters.
 pub(crate) struct TenantState {
     pub name: String,
@@ -141,9 +157,7 @@ impl TenantState {
         if self.cfg.rate_per_sec.is_finite() {
             let now = clock.now_ns();
             let mut b = self.bucket.lock();
-            let dt_s = now.saturating_sub(b.last_refill_ns) as f64 / 1e9;
-            b.tokens = (b.tokens + dt_s * self.cfg.rate_per_sec).min(self.cfg.burst);
-            b.last_refill_ns = now;
+            b.refill(now, self.cfg.rate_per_sec, self.cfg.burst);
             if b.tokens < 1.0 {
                 let deficit = 1.0 - b.tokens;
                 let retry_after_ns = (deficit / self.cfg.rate_per_sec * 1e9).ceil() as u64;
@@ -212,6 +226,38 @@ mod tests {
         clock.advance(500_000_000);
         assert!(t.try_admit(&clock).is_ok());
         assert!(t.try_admit(&clock).is_err());
+    }
+
+    /// A refill with a clock reading older than the last refill (a submitter
+    /// that read the clock first but took the lock second) credits nothing
+    /// and must not move the refill mark back: 200, 100, 300 credits exactly
+    /// the 300 ns since the start.
+    #[test]
+    fn late_clock_reading_never_credits_an_interval_twice() {
+        let (rate, burst) = (1e6, 1.0); // 1e-3 tokens per ns
+        let mut b = Bucket {
+            tokens: 0.0,
+            last_refill_ns: 0,
+        };
+        for now in [200, 100, 300] {
+            b.refill(now, rate, burst);
+        }
+        assert_eq!(b.last_refill_ns, 300);
+        let expected = (300e-9 * rate).min(burst);
+        assert!(
+            (b.tokens - expected).abs() < 1e-12,
+            "credited {} tokens, expected {expected}",
+            b.tokens
+        );
+        // The same sequence against a burst cap below the total credit.
+        let mut capped = Bucket {
+            tokens: 0.0,
+            last_refill_ns: 0,
+        };
+        for now in [200, 100, 300] {
+            capped.refill(now, rate, 0.25);
+        }
+        assert_eq!(capped.tokens, 0.25);
     }
 
     #[test]

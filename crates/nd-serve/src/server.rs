@@ -114,11 +114,6 @@ impl JobTicket {
     pub fn try_wait(&self) -> Option<JobOutcome> {
         self.rx.try_recv().ok()
     }
-
-    /// Blocks up to `timeout` for the outcome.
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<JobOutcome> {
-        self.rx.recv_timeout(timeout).ok()
-    }
 }
 
 /// What [`Server::drain`] reports.

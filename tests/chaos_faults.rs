@@ -1,6 +1,7 @@
-//! nd-chaos acceptance suite: seeded deterministic fault plans swept across
-//! the worker matrix (1 / 2 / 8 via `ND_POOL_WORKERS`), proving the
-//! robustness layer's claims under *injected* failure:
+//! nd-chaos acceptance suite: seeded deterministic fault plans (worker
+//! delays, failed steals) and `PanicAt` strand panics swept across the
+//! worker matrix (1 / 2 / 8 via `ND_POOL_WORKERS`), proving the robustness
+//! layer's claims under *injected* failure:
 //!
 //! * exactly-once execution — a faulted run never runs a completed strand
 //!   twice, and the recovery run completes every strand;
@@ -11,85 +12,20 @@
 //! * reset-then-rerun bit-identity — after a chaos fault, `reset()` +
 //!   re-execute produces output bit-identical to a never-faulted run.
 //!
-//! Compiled only with the `chaos` feature:
+//! Compiled only with the `chaos` feature (which the delay and steal faults
+//! need):
 //! `cargo test --features chaos --test chaos_faults`.
 
 #![cfg(feature = "chaos")]
 
-use nd_runtime::dataflow::{CompiledGraph, TaskTable};
-use nd_runtime::{FaultPlan, RunError, ThreadPool, CHAOS_PANIC_MARKER};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use nd_runtime::dataflow::CompiledGraph;
+use nd_runtime::{FaultPlan, PanicAt, RunError, ThreadPool, INJECTED_PANIC_MARKER};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 mod common;
-use common::pool_sizes;
-
-/// Deterministic random predecessor lists (forward edges only — acyclic by
-/// construction); the same stream as the executor stress suite.
-fn random_preds(n: usize, density_percent: u64, seed: u64) -> Vec<Vec<usize>> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (j, p) in preds.iter_mut().enumerate().skip(1) {
-        let window = 24.min(j);
-        for i in (j - window)..j {
-            if next() % 100 < density_percent {
-                p.push(i);
-            }
-        }
-    }
-    preds
-}
-
-fn edges_of(preds: &[Vec<usize>]) -> Vec<(u32, u32)> {
-    preds
-        .iter()
-        .enumerate()
-        .flat_map(|(j, ps)| ps.iter().map(move |&i| (i as u32, j as u32)))
-        .collect()
-}
-
-/// A deterministic dataflow computation: task `j` writes
-/// `out[j] = 1 + Σ out[preds(j)]` (wrapping) and bumps its run counter —
-/// a pure function of the DAG, so any two complete runs agree bit-for-bit.
-struct SumTable {
-    preds: Vec<Vec<usize>>,
-    out: Vec<AtomicU64>,
-    runs: Vec<AtomicU64>,
-}
-
-impl SumTable {
-    fn new(preds: Vec<Vec<usize>>) -> Self {
-        let n = preds.len();
-        SumTable {
-            preds,
-            out: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            runs: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        self.out.iter().map(|v| v.load(Ordering::SeqCst)).collect()
-    }
-}
-
-impl TaskTable for SumTable {
-    fn run_task(&self, task: u32) {
-        let j = task as usize;
-        let sum = self.preds[j].iter().fold(0u64, |acc, &p| {
-            acc.wrapping_add(self.out[p].load(Ordering::SeqCst))
-        });
-        self.out[j].store(sum.wrapping_add(1), Ordering::SeqCst);
-        self.runs[j].fetch_add(1, Ordering::SeqCst);
-    }
-}
+use common::{edges_of, pool_sizes, random_preds, SumTable};
 
 /// Proves the pool still executes submitted jobs on the main path: spawn a
 /// handful of jobs and wait for all of them (10 s deadline).
@@ -112,8 +48,10 @@ fn assert_pool_usable(pool: &ThreadPool, label: &str) {
     }
 }
 
-/// The sweep: seeds 0..18 cycle through the three fault kinds (panic strand,
-/// delay worker, fail steal) on every pool size of the matrix.  After every
+/// The sweep: seeds 0..18 cycle through three fault kinds on every pool size
+/// of the matrix — every third seed panics a strand through the [`PanicAt`]
+/// wrapper (the strand moves across the graph with the seed), the others
+/// install [`FaultPlan::seeded`] (delay worker or fail steal).  After every
 /// injected fault: typed error (or clean completion for non-fatal faults),
 /// counters reset, pool usable, and the reset-then-rerun output is
 /// bit-identical to an unfaulted oracle.
@@ -136,33 +74,34 @@ fn seeded_fault_sweep_preserves_executor_invariants() {
     for workers in pool_sizes() {
         for seed in 0..18u64 {
             let pool = ThreadPool::new(workers);
-            let plan = FaultPlan::seeded(seed, n, workers);
-            let fatal = !plan.panic_tasks.is_empty();
-            let planned_panic = plan.panic_tasks.first().copied();
-            pool.install_fault_plan(plan);
+            let planned_panic = (seed % 3 == 0).then(|| (seed as usize * n / 18) as u32);
+            if planned_panic.is_none() {
+                pool.install_fault_plan(FaultPlan::seeded(seed, workers));
+            }
 
             let table = Arc::new(SumTable::new(preds.clone()));
             let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
             let label = format!("workers={workers} seed={seed}");
 
-            let result = graph.execute(&pool, &table);
-            if fatal {
+            let result = match planned_panic {
+                Some(task) => {
+                    graph.execute(&pool, &Arc::new(PanicAt::new(Arc::clone(&table), task)))
+                }
+                None => graph.execute(&pool, &table),
+            };
+            if let Some(planned) = planned_panic {
                 let err = result.expect_err("a planned strand panic must surface");
                 match &err {
                     RunError::Panicked { task, payload, .. } => {
-                        assert_eq!(Some(*task), planned_panic, "{label}");
-                        assert!(
-                            payload.contains(CHAOS_PANIC_MARKER),
-                            "{label}: payload {payload:?}"
-                        );
+                        assert_eq!(*task, planned, "{label}");
+                        assert_eq!(payload, INJECTED_PANIC_MARKER, "{label}");
                     }
                     other => panic!("{label}: expected Panicked, got {other:?}"),
                 }
-                assert_eq!(pool.chaos_stats().panics_injected, 1, "{label}");
                 assert_eq!(pool.jobs_panicked(), 1, "{label}");
                 // The panicked strand never completed.
                 assert_eq!(
-                    table.runs[planned_panic.unwrap() as usize].load(Ordering::SeqCst),
+                    table.runs[planned as usize].load(Ordering::SeqCst),
                     0,
                     "{label}"
                 );
@@ -182,7 +121,8 @@ fn seeded_fault_sweep_preserves_executor_invariants() {
             assert_pool_usable(&pool, &label);
 
             // Recovery on the SAME pool without clearing the plan: every
-            // fault is one-shot, so the rerun is clean and bit-identical.
+            // pool fault is one-shot, and the rerun runs the unwrapped
+            // table, so it is clean and bit-identical.
             graph.reset();
             for r in &table.runs {
                 r.store(0, Ordering::SeqCst);
@@ -280,10 +220,8 @@ fn worker_delays_perturb_schedule_not_results() {
     }
 }
 
-/// The boxed-job injection site: a chaos plan cannot name boxed jobs (they
-/// have no task id), but an injected strand panic inside a graph run must
-/// leave concurrently submitted boxed jobs and the workers running them
-/// intact.
+/// An injected strand panic inside a graph run must leave concurrently
+/// submitted boxed jobs and the workers running them intact.
 #[test]
 fn injected_panic_spares_concurrent_boxed_jobs() {
     let n = 120usize;
@@ -291,7 +229,6 @@ fn injected_panic_spares_concurrent_boxed_jobs() {
     let edges = edges_of(&preds);
     for workers in pool_sizes() {
         let pool = ThreadPool::new(workers);
-        pool.install_fault_plan(FaultPlan::new().panic_at(n as u32 / 2));
         let boxed_done = Arc::new(AtomicUsize::new(0));
         for _ in 0..16 {
             let boxed_done = Arc::clone(&boxed_done);
@@ -301,7 +238,8 @@ fn injected_panic_spares_concurrent_boxed_jobs() {
         }
         let table = Arc::new(SumTable::new(preds.clone()));
         let graph = Arc::new(CompiledGraph::from_edges(n, &edges, Vec::new()));
-        let err = graph.execute(&pool, &table).expect_err("planned panic");
+        let faulty = Arc::new(PanicAt::new(table, n as u32 / 2));
+        let err = graph.execute(&pool, &faulty).expect_err("planned panic");
         assert!(matches!(err, RunError::Panicked { .. }));
         let deadline = Instant::now() + Duration::from_secs(10);
         while boxed_done.load(Ordering::SeqCst) < 16 {

@@ -4,37 +4,13 @@
 //! compiled graphs stay reusable under repeated execution.
 
 use nd_runtime::dataflow::{CompiledGraph, TaskTable};
-use nd_runtime::{RunError, ThreadPool};
+use nd_runtime::{PanicAt, RunError, ThreadPool, INJECTED_PANIC_MARKER};
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 mod common;
-use common::{pool_sizes, BoxedTasks};
-
-/// Deterministic random predecessor lists: task `j` depends on each task in a
-/// window of earlier tasks with probability `density_percent`%.  (Edges always
-/// point forward, so the graph is acyclic by construction.)
-fn random_preds(n: usize, density_percent: u64, seed: u64) -> Vec<Vec<usize>> {
-    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (j, p) in preds.iter_mut().enumerate().skip(1) {
-        let window = 24.min(j);
-        for i in (j - window)..j {
-            if next() % 100 < density_percent {
-                p.push(i);
-            }
-        }
-    }
-    preds
-}
+use common::{edges_of, pool_sizes, random_preds, BoxedTasks, SumTable};
 
 /// Shared instrumentation: records per-task run counts and precedence
 /// violations (a task observing an unfinished predecessor at start time).
@@ -85,14 +61,6 @@ impl TaskTable for Probe {
     fn run_task(&self, task: u32) {
         self.observe(task as usize);
     }
-}
-
-fn edges_of(preds: &[Vec<usize>]) -> Vec<(u32, u32)> {
-    preds
-        .iter()
-        .enumerate()
-        .flat_map(|(j, ps)| ps.iter().map(move |&i| (i as u32, j as u32)))
-        .collect()
 }
 
 /// Both table kinds, three DAG shapes (sparse, medium, dense), three pool sizes.
@@ -174,46 +142,6 @@ fn long_chain_runs_in_order_through_tail_execution() {
     assert_eq!(table.violations.load(Ordering::SeqCst), 0);
 }
 
-/// A deterministic dataflow computation with an armable bomb: task `j` writes
-/// `out[j] = 1 + Σ out[preds(j)]` (wrapping; a pure function of the DAG,
-/// independent of the schedule), and panics instead when it is the bomb task
-/// and the bomb is armed.
-struct BombTable {
-    preds: Vec<Vec<usize>>,
-    out: Vec<AtomicU64>,
-    boom: usize,
-    armed: AtomicBool,
-}
-
-impl BombTable {
-    fn new(preds: Vec<Vec<usize>>, boom: usize) -> Self {
-        let n = preds.len();
-        BombTable {
-            preds,
-            out: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            boom,
-            armed: AtomicBool::new(true),
-        }
-    }
-
-    fn snapshot(&self) -> Vec<u64> {
-        self.out.iter().map(|v| v.load(Ordering::SeqCst)).collect()
-    }
-}
-
-impl TaskTable for BombTable {
-    fn run_task(&self, task: u32) {
-        let j = task as usize;
-        if j == self.boom && self.armed.load(Ordering::SeqCst) {
-            panic!("injected panic at strand {j}");
-        }
-        let sum = self.preds[j].iter().fold(0u64, |acc, &p| {
-            acc.wrapping_add(self.out[p].load(Ordering::SeqCst))
-        });
-        self.out[j].store(sum.wrapping_add(1), Ordering::SeqCst);
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -233,8 +161,7 @@ proptest! {
 
         // The oracle: one clean run on one worker.
         let reference = {
-            let table = Arc::new(BombTable::new(preds.clone(), boom));
-            table.armed.store(false, Ordering::SeqCst);
+            let table = Arc::new(SumTable::new(preds.clone()));
             let graph = Arc::new(CompiledGraph::from_edges(n, &edges_of(&preds), Vec::new()));
             graph.execute(&ThreadPool::new(1), &table).expect("oracle run");
             table.snapshot()
@@ -242,24 +169,24 @@ proptest! {
 
         for workers in pool_sizes() {
             let pool = ThreadPool::new(workers);
-            let table = Arc::new(BombTable::new(preds.clone(), boom));
+            let table = Arc::new(SumTable::new(preds.clone()));
             let graph = Arc::new(CompiledGraph::from_edges(n, &edges_of(&preds), Vec::new()));
 
-            let err = graph.execute(&pool, &table).expect_err("armed bomb must fault");
+            let faulty = Arc::new(PanicAt::new(Arc::clone(&table), boom as u32));
+            let err = graph.execute(&pool, &faulty).expect_err("the wrapped table must fault");
             match &err {
                 RunError::Panicked { task, payload, .. } => {
                     prop_assert_eq!(*task, boom as u32);
-                    prop_assert!(payload.contains("injected panic"), "payload: {}", payload);
+                    prop_assert_eq!(payload.as_str(), INJECTED_PANIC_MARKER);
                 }
                 other => prop_assert!(false, "expected Panicked, got {:?}", other),
             }
-            // The bomb task itself never completed.
+            // The panicked task itself never completed.
             prop_assert_eq!(table.out[boom].load(Ordering::SeqCst), 0);
 
-            // Documented recovery: reset, disarm, re-execute.
+            // Documented recovery: reset, re-execute the unwrapped table.
             graph.reset();
             prop_assert!(graph.counters_are_reset(), "workers={}", workers);
-            table.armed.store(false, Ordering::SeqCst);
             let stats = graph.execute(&pool, &table).expect("recovery run");
             prop_assert_eq!(stats.tasks, n);
             prop_assert!(graph.counters_are_reset(), "workers={}", workers);
